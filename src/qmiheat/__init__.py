@@ -19,7 +19,7 @@ from .data import (
     load_packed,
     write_packed,
 )
-from .errors import DataFormatError
+from .errors import DataFormatError, TrainingDivergedError
 from .heatmap import (
     BenchReport,
     Heatmap,
@@ -82,6 +82,7 @@ __all__ = [
     "ScoreTable",
     "SynthSpec",
     "TrainConfig",
+    "TrainingDivergedError",
     "active_backend",
     "available_backends",
     "average_ranks",

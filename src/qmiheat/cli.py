@@ -1,9 +1,11 @@
 """Command-line surface: synth, train, eval, heatmap, bench, rank.
 
-Exit codes: 0 success, 1 usage error, 2 data error.  Unreadable or
-malformed files exit 2, as do training-configuration values out of
-range (whether they came from flags or a config file); any other bad
-invocation exits 1.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 training
+diverged.  Unreadable or malformed files exit 2, as do
+training-configuration values out of range (whether they came from flags
+or a config file); any other bad invocation exits 1.  A training run
+that meets non-finite scores or parameters stops and exits 3, naming the
+epoch and batch.
 """
 
 import argparse
@@ -20,7 +22,7 @@ from .data import (
     write_packed,
     write_pgm,
 )
-from .errors import DataFormatError
+from .errors import DataFormatError, TrainingDivergedError
 from .heatmap import (
     benchmark_fps,
     fully_conv_inference,
@@ -283,6 +285,9 @@ def run_cli(argv):
     except ValueError as exc:
         print(f"qmiheat: error: {exc}", file=sys.stderr)
         return 1
+    except TrainingDivergedError as exc:
+        print(f"qmiheat: training diverged: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -7,3 +7,11 @@ class DataFormatError(ValueError):
     The message names the offending file region (offset, record index or
     field) so that truncation and corruption are diagnosable.
     """
+
+
+class TrainingDivergedError(RuntimeError):
+    """Training met non-finite scores or parameters.
+
+    The message names the epoch and the batch (both counted from 1) where
+    the values were found.
+    """

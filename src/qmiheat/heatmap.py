@@ -40,6 +40,11 @@ class Heatmap:
         if g.ndim != 3 or g.shape[2] != 2:
             raise ValueError(f"grid must be (gh, gw, 2), got {g.shape}")
         geo = output_geometry(self.variant, self.source_h, self.source_w)
+        if (self.stride_px, self.window_px) != (geo.stride_px, geo.window_px):
+            raise ValueError(
+                f"stride {self.stride_px}px / window {self.window_px}px do not "
+                f"match {self.variant} ({geo.stride_px}px / {geo.window_px}px)"
+            )
         if (geo.grid_h, geo.grid_w) != g.shape[:2]:
             raise ValueError(
                 f"grid {g.shape[:2]} does not match geometry "
@@ -261,11 +266,14 @@ def load_heatmap(path):
             f"{path}: grid payload is {len(blob) - nl} bytes, expected {need}"
         )
     grid = np.frombuffer(blob, dtype="<f4", offset=nl).reshape(gh, gw, 2)
-    return Heatmap(
-        grid=grid.copy(),
-        variant=variant,
-        stride_px=stride,
-        window_px=window,
-        source_h=src_h,
-        source_w=src_w,
-    )
+    try:
+        return Heatmap(
+            grid=grid.copy(),
+            variant=variant,
+            stride_px=stride,
+            window_px=window,
+            source_h=src_h,
+            source_w=src_w,
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

@@ -88,34 +88,35 @@ def maxpool2x2_forward(x):
 
     The argmax map stores, per output cell, which of the four window
     positions won (row-major 0..3, first max on ties) and is what routes the
-    gradient in the backward pass.
+    gradient in the backward pass.  A window holding NaN pools to NaN with
+    index 3.
     """
     x = _as_f32_nchw(x)
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    win = (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    idx = win.argmax(axis=4).astype(np.uint8)
-    out = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
+    out = maxpool2x2_infer(x)
+    # The index counts the leading window positions that fall short of the
+    # max, which is the row-major position of the first max.
+    behind = x[:, :, 0::2, 0::2] != out
+    idx = behind.view(np.uint8).copy()
+    for view in (x[:, :, 0::2, 1::2], x[:, :, 1::2, 0::2]):
+        behind &= view != out
+        idx += behind
     return out, idx
 
 
 def relu_infer(x):
     """In-place ReLU for inference paths that own their activations.
 
-    Training keeps relu_forward: its caches need the pre-activation intact.
+    Training calls relu_forward, which leaves its input untouched.
     """
     return np.maximum(x, 0.0, out=x)
 
 
 def maxpool2x2_infer(x):
-    """Pooled output only; skips the argmax bookkeeping backward would need.
+    """Pooled output only, without the argmax map backward needs.
 
-    Same values as maxpool2x2_forward, noticeably cheaper on large frames.
+    Three strided maxima over the four window views.  On ties between
+    +0.0 and -0.0 the sign of the result is unspecified; every other tie
+    returns the shared value.
     """
     x = _as_f32_nchw(x)
     h, w = x.shape[2], x.shape[3]
@@ -132,13 +133,10 @@ def maxpool2x2_backward(idx, grad_out):
     if idx.shape != grad_out.shape:
         raise ValueError("argmax map and grad_out shapes differ")
     n, c, h2, w2 = grad_out.shape
-    win = np.zeros((n, c, h2, w2, 4), dtype=np.float32)
-    np.put_along_axis(win, idx[..., None].astype(np.intp), grad_out[..., None], axis=4)
-    return (
-        win.reshape(n, c, h2, w2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h2 * 2, w2 * 2)
-    )
+    grad_in = np.empty((n, c, h2 * 2, w2 * 2), dtype=np.float32)
+    for k in range(4):
+        np.multiply(grad_out, idx == k, out=grad_in[:, :, k // 2 :: 2, k % 2 :: 2])
+    return grad_in
 
 
 def relu_forward(x):

@@ -82,34 +82,38 @@ class OutputGeometry:
     window_px: int
 
 
+def _architecture(variant):
+    """Per-layer layout of a variant, in order: (kernel shape, stride, pad,
+    relu, pool) with kernel shape (out_ch, in_ch, kh, kw)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    plan = []
+    in_ch = 3
+    for i, out_ch in enumerate(CHANNELS):
+        stride = _FIRST_CONV_STRIDE[variant] if i == 0 else 1
+        plan.append(((out_ch, in_ch, 3, 3), stride, 1, True, True))
+        in_ch = out_ch
+    plan.append(((2, in_ch, 2, 2), 1, 0, False, False))
+    return plan
+
+
 def build_model(variant, seed):
     """Freshly initialized network for a variant.
 
     Kernels are fan-in-scaled uniform draws from the given seed; biases
     start at zero.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    plan = _architecture(variant)
     rng = np.random.default_rng(seed)
     layers = []
-    in_ch = 3
-    for i, out_ch in enumerate(CHANNELS):
-        stride = _FIRST_CONV_STRIDE[variant] if i == 0 else 1
+    for shape, stride, pad, relu, pool in plan:
         conv = ConvLayer(
-            kernel=_init_kernel(rng, out_ch, in_ch, 3, 3),
-            bias=np.zeros(out_ch, dtype=np.float32),
+            kernel=_init_kernel(rng, *shape),
+            bias=np.zeros(shape[0], dtype=np.float32),
             stride=stride,
-            pad=1,
+            pad=pad,
         )
-        layers.append(LayerSpec(conv=conv, relu=True, pool=True))
-        in_ch = out_ch
-    head = ConvLayer(
-        kernel=_init_kernel(rng, 2, in_ch, 2, 2),
-        bias=np.zeros(2, dtype=np.float32),
-        stride=1,
-        pad=0,
-    )
-    layers.append(LayerSpec(conv=head, relu=False, pool=False))
+        layers.append(LayerSpec(conv=conv, relu=relu, pool=pool))
     return NetworkSpec(variant=variant, layers=layers)
 
 
@@ -171,12 +175,12 @@ def forward_features(model, x, crop_odd=False):
         if crop_odd and spec.conv.stride == 2:
             x = _crop_even(x)
         x = conv2d_forward(x, spec.conv)
-        if spec.relu:
-            x = relu_infer(x)
         if spec.pool:
             if crop_odd:
                 x = _crop_even(x)
             x = maxpool2x2_infer(x)
+        if spec.relu:
+            x = relu_infer(x)
     return x
 
 
@@ -191,7 +195,12 @@ def forward_training(model, x):
 
     Returns (scores, embeddings, caches): scores N x 2 from the single
     output cell, embeddings N x d as the flattened post-pool activations of
-    the embedding layer, and per-layer caches.
+    the embedding layer, and per-layer caches ``(conv_in, pre_relu,
+    pool_idx)`` with ``pre_relu`` the full-size convolution output.
+
+    Each stage pools before its ReLU: max-pooling commutes with the
+    monotone ReLU, so the outputs equal ReLU-then-pool while the ReLU
+    touches a quarter of the elements.
     """
     n = x.shape[0]
     if x.shape[2] != model.window_px or x.shape[3] != model.window_px:
@@ -202,11 +211,12 @@ def forward_training(model, x):
     caches = []
     for spec in model.layers:
         conv_in = x
-        pre_relu = conv2d_forward(x, spec.conv)
-        x = relu_forward(pre_relu) if spec.relu else pre_relu
+        pre_relu = x = conv2d_forward(x, spec.conv)
         pool_idx = None
         if spec.pool:
             x, pool_idx = maxpool2x2_forward(x)
+        if spec.relu:
+            x = relu_forward(x)
         caches.append((conv_in, pre_relu, pool_idx))
     if x.shape[2:] != (1, 1):
         raise ValueError(f"training forward must end in a 1x1 cell, got {x.shape}")
@@ -221,6 +231,10 @@ def backprop(model, caches, grad_scores, grad_embedding=None):
     Returns one (grad_kernel, grad_bias) pair per layer.  The injected
     embedding gradient bypasses the head entirely, so the head's parameter
     gradients depend only on the score gradient.
+
+    A feature stage's ReLU mask comes from its output, the next layer's
+    ``conv_in``: the rectified value is positive exactly where its input
+    was, and the pooled pre-activation is never stored.
     """
     n = grad_scores.shape[0]
     param_grads = [None] * len(model.layers)
@@ -236,11 +250,11 @@ def backprop(model, caches, grad_scores, grad_embedding=None):
 
     for i in range(model.embedding_layer_index, -1, -1):
         spec = model.layers[i]
-        conv_in, pre_relu, pool_idx = caches[i]
+        conv_in, _, pool_idx = caches[i]
+        if spec.relu:
+            g = relu_backward(caches[i + 1][0], g)
         if spec.pool:
             g = maxpool2x2_backward(pool_idx, g)
-        if spec.relu:
-            g = relu_backward(pre_relu, g)
         g, gk, gb = conv2d_backward(conv_in, spec.conv, g)
         param_grads[i] = (gk, gb)
     return param_grads
@@ -305,24 +319,29 @@ def load_model(path):
     variant = VARIANTS[variant_id]
 
     layers = []
-    for i in range(5):
+    plan = _architecture(variant)
+    for i, (shape, want_stride, want_pad, relu, pool) in enumerate(plan):
         oc, ic, kh, kw, stride, pad = struct.unpack(
             "<6I", need(24, f"layer {i} header")
         )
+        if ((oc, ic, kh, kw), stride, pad) != (shape, want_stride, want_pad):
+            raise DataFormatError(
+                f"{path}: layer {i} has kernel {oc}x{ic}x{kh}x{kw}, stride "
+                f"{stride}, pad {pad}; {variant} expects kernel "
+                f"{'x'.join(map(str, shape))}, stride {want_stride}, pad {want_pad}"
+            )
         ksize = oc * ic * kh * kw
         kernel = np.frombuffer(need(4 * ksize, f"layer {i} kernel"), dtype="<f4")
         bias = np.frombuffer(need(4 * oc, f"layer {i} bias"), dtype="<f4")
         conv = ConvLayer(
-            kernel=kernel.reshape(oc, ic, kh, kw).copy(),
+            kernel=kernel.reshape(shape).copy(),
             bias=bias.copy(),
             stride=stride,
             pad=pad,
         )
-        layers.append(LayerSpec(conv=conv, relu=i < 4, pool=i < 4))
+        layers.append(LayerSpec(conv=conv, relu=relu, pool=pool))
     if off != len(blob):
         raise DataFormatError(
             f"{path}: {len(blob) - off} trailing bytes after offset {off}"
         )
-    if layers[-1].conv.out_channels != 2:
-        raise DataFormatError(f"{path}: classifier layer must have 2 channels")
     return NetworkSpec(variant=variant, layers=layers)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import to_float
-from .errors import DataFormatError
+from .errors import DataFormatError, TrainingDivergedError
 from .layers import OptimizerState, sgd_momentum_step
 from .losses import CROSS_ENTROPY, DEFAULT_ETA, HINGE, LOSSES
 from .models import (
@@ -143,8 +143,11 @@ def batch_gradients(model, x, labels, loss_kind, eta):
     """One batch's parameter gradients and loss values.
 
     Returns (grads, j_class, j_mi) with grads ordered as parameters().
+    Raises TrainingDivergedError when a score is not finite.
     """
     scores, embeddings, caches = forward_training(model, x)
+    if not np.isfinite(scores).all():
+        raise TrainingDivergedError("non-finite scores")
     j_class, grad_scores = LOSSES[loss_kind](scores, labels)
     j_mi = 0.0
     grad_embedding = None
@@ -161,7 +164,11 @@ def batch_gradients(model, x, labels, loss_kind, eta):
 
 
 def train(config, train_set, test_set):
-    """Full training run; returns (model, history)."""
+    """Full training run; returns (model, history).
+
+    Raises TrainingDivergedError, naming the epoch and the batch, when a
+    batch scores non-finite or an epoch ends with non-finite parameters.
+    """
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("datasets must be non-empty")
     model = build_model(config.variant, config.seed)
@@ -187,14 +194,23 @@ def train(config, train_set, test_set):
         order = rng.permutation(n)
         class_total = 0.0
         mi_values = []
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
-            grads, j_class, j_mi = batch_gradients(
-                model, x_train[idx], y_train[idx], config.loss_kind, config.eta
-            )
+            try:
+                grads, j_class, j_mi = batch_gradients(
+                    model, x_train[idx], y_train[idx], config.loss_kind, config.eta
+                )
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(
+                    f"epoch {epoch}, batch {batch}: {exc}"
+                ) from None
             sgd_momentum_step(parameters(model), grads, state)
             class_total += j_class * idx.size
             mi_values.append(j_mi)
+        if not all(np.isfinite(p).all() for p in parameters(model)):
+            raise TrainingDivergedError(
+                f"epoch {epoch}, batch {batch}: non-finite parameters after the update"
+            )
         history.epochs.append(epoch)
         history.j_class.append(class_total / n)
         history.j_mi.append(sum(mi_values) / len(mi_values))

@@ -249,6 +249,50 @@ def test_corrupt_model_file_is_a_data_error(tmp_path, split_files, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_model_relabelled_to_another_variant_is_a_data_error(tmp_path, capsys):
+    model_p = tmp_path / "relabelled.vggh"
+    save_model(build_model("rf64", seed=0), model_p)
+    blob = bytearray(model_p.read_bytes())
+    blob[8] = 0  # variant id of rf32
+    model_p.write_bytes(bytes(blob))
+    img_p = tmp_path / "frame.ppm"
+    write_ppm(np.zeros((64, 96, 3), dtype=np.uint8), img_p)
+    code = run_cli(
+        [
+            "heatmap",
+            "--model", str(model_p),
+            "--image", str(img_p),
+            "--out", str(tmp_path / "scores.hmap"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "relabelled.vggh: layer 0" in err
+
+
+def test_diverging_training_exits_3(tmp_path, split_files, capsys):
+    train_p, test_p = split_files
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(
+            [
+                "train",
+                "--train", str(train_p),
+                "--test", str(test_p),
+                "--out-dir", str(tmp_path / "o"),
+                "--epochs", "3",
+                "--batch", "8",
+                "--eta", "0.0",
+                "--lr-initial", "1e4",
+                "--lr-final", "1e4",
+            ]
+        )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "training diverged: epoch" in err
+    assert "batch" in err
+
+
 def test_bad_parameter_value_from_flags_is_a_data_error(tmp_path, split_files, capsys):
     train_p, test_p = split_files
     code = run_cli(

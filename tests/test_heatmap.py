@@ -232,3 +232,27 @@ def test_heatmap_validates_grid_against_geometry():
             source_h=32,
             source_w=32,
         )
+
+
+def test_heatmap_rejects_stride_or_window_foreign_to_the_variant(tmp_path):
+    for stride, window in ((7, 32), (16, 99), (32, 64)):
+        with pytest.raises(ValueError, match="do not match rf32"):
+            Heatmap(
+                grid=np.zeros((1, 1, 2), dtype=np.float32),
+                variant="rf32",
+                stride_px=stride,
+                window_px=window,
+                source_h=32,
+                source_w=32,
+            )
+
+    model = build_model("rf32", seed=0)
+    p = tmp_path / "scores.hmap"
+    write_heatmap(fully_conv_inference(model, _image(32, 48, seed=0)), p)
+    lines = p.read_bytes().split(b"\n")
+    lines[3] = b"stride 7"
+    lines[4] = b"window 99"
+    odd = tmp_path / "odd.hmap"
+    odd.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataFormatError, match=r"odd\.hmap: stride 7px / window 99px"):
+        load_heatmap(odd)

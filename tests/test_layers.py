@@ -155,6 +155,76 @@ def test_maxpool_tie_picks_first_window_position():
     assert np.array_equal(g[0, 0], [[2, 0], [0, 0]])
 
 
+def _naive_maxpool(x):
+    """Per-window loop: max of the four cells, first max in row-major order."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h // 2, w // 2), dtype=np.float32)
+    idx = np.empty(out.shape, dtype=np.uint8)
+    for b, ch, i, j in np.ndindex(out.shape):
+        win = [x[b, ch, 2 * i + k // 2, 2 * j + k % 2] for k in range(4)]
+        best = 0
+        for k in range(1, 4):
+            if win[k] > win[best]:
+                best = k
+        out[b, ch, i, j] = win[best]
+        idx[b, ch, i, j] = best
+    return out, idx
+
+
+def _naive_maxpool_backward(idx, grad_out):
+    n, c, h2, w2 = grad_out.shape
+    grad_in = np.zeros((n, c, 2 * h2, 2 * w2), dtype=np.float32)
+    for b, ch, i, j in np.ndindex(grad_out.shape):
+        k = idx[b, ch, i, j]
+        grad_in[b, ch, 2 * i + k // 2, 2 * j + k % 2] = grad_out[b, ch, i, j]
+    return grad_in
+
+
+def _tie_pattern_windows():
+    """One 2x2 window per tie pattern: every non-empty set of positions
+    holding the max (all-equal included), at positive, negative and zero
+    maxima, plus every sign pattern of a +0.0/-0.0 window."""
+    windows = []
+    for mask in range(1, 16):
+        for top, low in ((2.5, -1.0), (-0.5, -3.0), (0.0, -2.0), (0.0, -0.0)):
+            windows.append([top if mask >> k & 1 else low for k in range(4)])
+    for signs in range(16):
+        windows.append([-0.0 if signs >> k & 1 else 0.0 for k in range(4)])
+    x = np.empty((1, len(windows), 2, 2), dtype=np.float32)
+    for ch, win in enumerate(windows):
+        x[0, ch] = np.reshape(win, (2, 2))
+    return x
+
+
+def test_maxpool_matches_naive_loop_on_every_tie_pattern():
+    x = _tie_pattern_windows()
+    out, idx = maxpool2x2_forward(x)
+    want_out, want_idx = _naive_maxpool(x)
+    assert np.array_equal(idx, want_idx)
+    # == compares +0.0 and -0.0 equal: the sign of a zero max is unspecified
+    assert np.array_equal(out, want_out)
+    go = np.random.default_rng(8).standard_normal(out.shape).astype(np.float32)
+    assert np.array_equal(
+        maxpool2x2_backward(idx, go), _naive_maxpool_backward(want_idx, go)
+    )
+
+
+def test_maxpool_matches_naive_loop_on_random_batches():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        # few distinct values, so random windows tie often
+        x = rng.integers(-2, 3, size=(2, 3, 6, 8)).astype(np.float32)
+        x[rng.random(x.shape) < 0.3] = rng.standard_normal()
+        out, idx = maxpool2x2_forward(x)
+        want_out, want_idx = _naive_maxpool(x)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(idx, want_idx)
+        go = rng.standard_normal(out.shape).astype(np.float32)
+        assert np.array_equal(
+            maxpool2x2_backward(idx, go), _naive_maxpool_backward(idx, go)
+        )
+
+
 def test_maxpool_infer_matches_training_forward():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 3, 8, 10)).astype(np.float32)

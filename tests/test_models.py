@@ -5,6 +5,7 @@ import pytest
 from conftest import central_difference, relative_error
 
 from qmiheat.errors import DataFormatError
+from qmiheat.layers import conv2d_backward, conv2d_forward
 from qmiheat.models import (
     CHANNELS,
     RF32,
@@ -203,6 +204,90 @@ def test_backprop_equals_manual_layer_chain():
             assert np.array_equal(gb_a, gb_b)
 
 
+def _argmax_pool(x):
+    n, c, h, w = x.shape
+    win = (
+        x.reshape(n, c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h // 2, w // 2, 4)
+    )
+    idx = win.argmax(axis=4)
+    return np.take_along_axis(win, idx[..., None], axis=4)[..., 0], idx
+
+
+def _argmax_unpool(idx, g):
+    n, c, h2, w2 = g.shape
+    win = np.zeros((n, c, h2, w2, 4), dtype=np.float32)
+    np.put_along_axis(win, idx[..., None], g[..., None], axis=4)
+    return win.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, 2 * h2, 2 * w2
+    )
+
+
+def _relu_then_pool_walk(model, x, crop_odd=False):
+    """Reference forward in the ReLU-before-pool order, with argmax pooling
+    and even crops as forward_features places them; returns the score map
+    and per-layer (conv_in, pre_relu, argmax) caches."""
+    caches = []
+    for spec in model.layers:
+        if crop_odd and spec.conv.stride == 2:
+            x = x[:, :, : x.shape[2] // 2 * 2, : x.shape[3] // 2 * 2]
+        conv_in = x
+        pre_relu = conv2d_forward(x, spec.conv)
+        x = np.maximum(pre_relu, 0) if spec.relu else pre_relu
+        idx = None
+        if spec.pool:
+            x = x[:, :, : x.shape[2] // 2 * 2, : x.shape[3] // 2 * 2]
+            x, idx = _argmax_pool(x)
+        caches.append((conv_in, pre_relu, idx))
+    return x, caches
+
+
+def _relu_then_pool_gradients(model, caches, grad_scores, grad_embedding):
+    g = grad_scores.reshape(-1, 2, 1, 1)
+    g, gk, gb = conv2d_backward(caches[4][0], model.layers[4].conv, g)
+    grads = [None, None, None, None, (gk, gb)]
+    g = g + grad_embedding.reshape(g.shape)
+    for i in (3, 2, 1, 0):
+        conv_in, pre_relu, idx = caches[i]
+        g = np.where(pre_relu > 0, _argmax_unpool(idx, g), 0).astype(np.float32)
+        g, gk, gb = conv2d_backward(conv_in, model.layers[i].conv, g)
+        grads[i] = (gk, gb)
+    return grads
+
+
+def test_pool_then_relu_matches_relu_then_pool_reference_bitwise():
+    rng = np.random.default_rng(13)
+    for variant, size in ((RF32, 32), (RF64, 64)):
+        m = build_model(variant, seed=7)
+        for spec in m.layers:
+            spec.conv.bias[:] = rng.uniform(-0.1, 0.1, spec.conv.bias.shape)
+        x = rng.random((4, 3, size, size), dtype=np.float32)
+        go = rng.standard_normal((4, 2)).astype(np.float32)
+        ge = rng.standard_normal((4, 128)).astype(np.float32)
+
+        want_map, want_caches = _relu_then_pool_walk(m, x)
+        want_scores = want_map.reshape(4, 2)
+        want_emb = want_caches[4][0].reshape(4, -1)
+        scores, emb, caches = forward_training(m, x)
+        assert scores.tobytes() == want_scores.tobytes()
+        assert emb.tobytes() == want_emb.tobytes()
+        assert forward_scores(m, x).tobytes() == want_map.tobytes()
+
+        got = backprop(m, caches, go, grad_embedding=ge)
+        want = _relu_then_pool_gradients(m, want_caches, go, ge)
+        for (gk_a, gb_a), (gk_b, gb_b) in zip(got, want):
+            # array_equal, not bytes: a gradient entry that sums only zeros
+            # may carry either sign of zero
+            assert np.array_equal(gk_a, gk_b)
+            assert np.array_equal(gb_a, gb_b)
+
+        frame = rng.random((1, 3, 3 * size - 5, 4 * size + 3), dtype=np.float32)
+        want_map, _ = _relu_then_pool_walk(m, frame, crop_odd=True)
+        got_map = forward_scores(m, frame, crop_odd=True)
+        assert got_map.tobytes() == want_map.tobytes()
+
+
 def test_embedding_gradient_reaches_features_not_classifier():
     rng = np.random.default_rng(4)
     m = build_model(RF32, seed=2)
@@ -271,6 +356,41 @@ def test_load_rejects_unknown_version(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_model(p)
     assert "version" in str(err.value)
+
+
+def test_load_rejects_layers_that_disagree_with_the_variant(tmp_path):
+    # rf64 differs from rf32 only in its stride-2 first convolution
+    p = tmp_path / "relabelled.vggh"
+    save_model(build_model(RF64, seed=0), p)
+    blob = bytearray(p.read_bytes())
+    blob[8] = VARIANTS.index(RF32)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match=r"relabelled\.vggh: layer 0 .*stride 2"):
+        load_model(p)
+
+    # a head with three output channels, header and payload consistent
+    m = build_model(RF32, seed=0)
+    head = m.layers[4].conv
+    head.kernel = np.zeros((3, 32, 2, 2), dtype=np.float32)
+    head.bias = np.zeros(3, dtype=np.float32)
+    p = tmp_path / "wide_head.vggh"
+    save_model(m, p)
+    with pytest.raises(DataFormatError, match=r"wide_head\.vggh: layer 4 .*3x32x2x2"):
+        load_model(p)
+
+
+def test_loaded_model_takes_relu_and_pool_from_the_architecture(tmp_path):
+    for variant in VARIANTS:
+        m = build_model(variant, seed=1)
+        p = tmp_path / f"{variant}.vggh"
+        save_model(m, p)
+        loaded = load_model(p)
+        assert [(s.relu, s.pool) for s in loaded.layers] == [
+            (s.relu, s.pool) for s in m.layers
+        ]
+        assert [(s.conv.stride, s.conv.pad) for s in loaded.layers] == [
+            (s.conv.stride, s.conv.pad) for s in m.layers
+        ]
 
 
 def test_loaded_model_runs_forward(tmp_path):

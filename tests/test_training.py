@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmiheat.data import SynthSpec, generate_synthetic, generate_synthetic_split, to_float
-from qmiheat.errors import DataFormatError
+from qmiheat.errors import DataFormatError, TrainingDivergedError
 from qmiheat.losses import CROSS_ENTROPY, HINGE
 from qmiheat.models import build_model, forward_training, parameters
 from qmiheat.layers import OptimizerState, sgd_momentum_step
@@ -327,3 +327,33 @@ def test_cross_entropy_loss_kind_trains(tiny_split):
         test_set,
     )
     assert np.isfinite(hist.j_class).all()
+
+
+def test_diverging_training_stops_naming_epoch_and_batch(tiny_split):
+    train_set, test_set = tiny_split
+    for eta in (0.0, 0.001):
+        config = _small_config(eta=eta, lr_initial=1e4, lr_final=1e4, epochs=3)
+        where = r"epoch \d+, batch \d+: non-finite"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match=where):
+                train(config, train_set, test_set)
+
+
+def test_non_finite_parameters_after_the_last_update_stop_the_run(tiny_split):
+    # one batch, one epoch: no later forward pass would see the overflow
+    # (a one-epoch run trains at lr_final; 1e39 overflows float32)
+    train_set, test_set = tiny_split
+    config = _small_config(epochs=1, batch_size=len(train_set), lr_final=1e39)
+    where = "epoch 1, batch 1: non-finite parameters"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError, match=where):
+            train(config, train_set, test_set)
+
+
+def test_batch_gradients_rejects_non_finite_scores(tiny_split):
+    train_set, _ = tiny_split
+    model = build_model("rf32", seed=0)
+    model.layers[4].conv.bias[0] = np.inf
+    x = to_float(train_set)[:4]
+    with pytest.raises(TrainingDivergedError, match="non-finite scores"):
+        batch_gradients(model, x, train_set.labels[:4], HINGE, eta=0.0)
