@@ -6,11 +6,12 @@ training with the regularizer attached to the penultimate convolution,
 full-frame heatmap inference validated against a sliding-window oracle,
 and rank-based comparison of method accuracies across datasets.
 
-Convolution kernels run on a compiled extension when it is built, with a
-pure-numpy fallback; see :mod:`qmiheat.backend`.
+Convolution kernels run on the compiled extension whenever it built, and
+on the numpy implementation otherwise; nothing selects between them by
+hand.  :func:`active_backend` names the one in use.
 """
 
-from .backend import active_backend, available_backends, set_backend
+from .backend import active_backend
 from .data import (
     PackedDataset,
     SynthSpec,
@@ -30,7 +31,7 @@ from .heatmap import (
     sliding_window_oracle,
     write_heatmap,
 )
-from .losses import DEFAULT_ETA, cross_entropy_loss, hinge_loss, total_loss
+from .losses import DEFAULT_ETA, cross_entropy_loss, hinge_loss
 from .models import (
     NetworkSpec,
     OutputGeometry,
@@ -84,7 +85,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
     "active_backend",
-    "available_backends",
     "average_ranks",
     "batch_potentials",
     "benchmark_fps",
@@ -107,10 +107,8 @@ __all__ = [
     "render_heatmap",
     "repeated_experiment",
     "save_model",
-    "set_backend",
     "significance",
     "sliding_window_oracle",
-    "total_loss",
     "train",
     "write_heatmap",
     "write_packed",

@@ -1,73 +1,11 @@
-"""Selects the convolution backend at import time.
-
-The compiled extension (``qmiheat._convcore``) is preferred when it built;
-otherwise the numpy implementation is used.  ``QMIHEAT_BACKEND`` forces the
-choice (``compiled`` or ``numpy``), and :func:`set_backend` switches at
-runtime, which the backend-comparison benchmark relies on.
-"""
-
-import os
-from contextlib import contextmanager
-
-from . import _convpy
+"""The convolution kernels: the compiled extension (``qmiheat._convcore``)
+when it built, otherwise the numpy implementation."""
 
 try:
-    from . import _convcore
+    from ._convcore import NAME, conv2d_backward, conv2d_forward
 except ImportError:
-    _convcore = None
-
-_BACKENDS = {"numpy": _convpy}
-if _convcore is not None:
-    _BACKENDS["compiled"] = _convcore
-
-
-def _initial():
-    forced = os.environ.get("QMIHEAT_BACKEND", "").strip().lower()
-    if forced:
-        if forced not in _BACKENDS:
-            raise ImportError(
-                f"QMIHEAT_BACKEND={forced!r} is not available; "
-                f"choose from {sorted(_BACKENDS)}"
-            )
-        return _BACKENDS[forced]
-    return _BACKENDS.get("compiled", _convpy)
-
-
-_active = _initial()
-
-
-def available_backends():
-    """Names of the backends importable in this environment."""
-    return tuple(sorted(_BACKENDS))
+    from ._convpy import NAME, conv2d_backward, conv2d_forward
 
 
 def active_backend():
-    return _active.NAME
-
-
-def set_backend(name):
-    """Switch the convolution backend; raises ValueError if not built."""
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"backend {name!r} not available; have {sorted(_BACKENDS)}")
-    _active = _BACKENDS[name]
-
-
-@contextmanager
-def forced_backend(name):
-    """Temporarily pin the backend, restoring the previous one on exit."""
-    global _active
-    previous = _active
-    set_backend(name)
-    try:
-        yield
-    finally:
-        _active = previous
-
-
-def conv2d_forward(x, w, b, stride, pad):
-    return _active.conv2d_forward(x, w, b, stride, pad)
-
-
-def conv2d_backward(x, w, stride, pad, grad_out):
-    return _active.conv2d_backward(x, w, stride, pad, grad_out)
+    return NAME

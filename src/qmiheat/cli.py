@@ -12,8 +12,7 @@ import argparse
 import os
 import sys
 
-from . import backend as backend_mod
-from .config import load_config, serialize_config
+from .config import load_config, save_config
 from .data import (
     SynthSpec,
     generate_synthetic,
@@ -98,16 +97,6 @@ def _build_parser():
     p.add_argument("--frames", type=int, default=5)
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--out", help="write the report here as well")
-    p.add_argument(
-        "--backend",
-        choices=("numpy", "compiled"),
-        help="force a kernel backend for this run",
-    )
-    p.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help="benchmark every available backend and report the speedup",
-    )
 
     p = sub.add_parser("rank", help="critical-difference report for a score table")
     p.add_argument("--table", required=True, help="comma-separated score table")
@@ -142,7 +131,7 @@ def _train_config(args):
     )
     for key, value in flag_keys:
         if value is not None:
-            mapping[key] = repr(value) if isinstance(value, float) else str(value)
+            mapping[key] = value
     return config_from_mapping(mapping, source="command line")
 
 
@@ -162,8 +151,7 @@ def _cmd_train(args):
         config, train_set, test_set, k=args.runs, on_run=save_run
     )
     write_summary(summary, os.path.join(args.out_dir, "summary.txt"))
-    with open(os.path.join(args.out_dir, "config.txt"), "w", encoding="ascii") as fh:
-        fh.write(serialize_config(config_to_mapping(config)))
+    save_config(config_to_mapping(config), os.path.join(args.out_dir, "config.txt"))
     print(
         f"runs={args.runs} mean_max_accuracy={summary.mean!r} "
         f"std={summary.std!r}"
@@ -201,44 +189,13 @@ def _bench_model(args):
 
 
 def _cmd_bench(args):
-    model = _bench_model(args)
-    if args.compare_backends:
-        reports = {}
-        for name in backend_mod.available_backends():
-            with backend_mod.forced_backend(name):
-                reports[name] = benchmark_fps(
-                    model,
-                    args.height,
-                    args.width,
-                    n_frames=args.frames,
-                    warmup=args.warmup,
-                    backend=name,
-                )
-        text = ""
-        for name, report in reports.items():
-            text += serialize_bench_report(report) + "\n"
-        if len(reports) == 2:
-            speedup = reports["compiled"].fps / reports["numpy"].fps
-            text += f"compiled_over_numpy={speedup:.3f}\n"
-        sys.stdout.write(text)
-        if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(text)
-        return 0
-    if args.backend:
-        with backend_mod.forced_backend(args.backend):
-            report = benchmark_fps(
-                model,
-                args.height,
-                args.width,
-                n_frames=args.frames,
-                warmup=args.warmup,
-                backend=args.backend,
-            )
-    else:
-        report = benchmark_fps(
-            model, args.height, args.width, n_frames=args.frames, warmup=args.warmup
-        )
+    report = benchmark_fps(
+        _bench_model(args),
+        args.height,
+        args.width,
+        n_frames=args.frames,
+        warmup=args.warmup,
+    )
     text = serialize_bench_report(report)
     sys.stdout.write(text)
     if args.out:

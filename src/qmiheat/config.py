@@ -2,7 +2,8 @@
 
 One option per line, ``#`` starts a comment, blank lines ignored.  The
 normalized form is ``key=value`` with whitespace trimmed, in first-seen
-key order; re-serializing a parsed config reproduces it exactly.
+key order; re-serializing a parsed config reproduces it exactly.  Float
+values are written with ``repr`` so they parse back to the same float.
 """
 
 from .errors import DataFormatError
@@ -25,12 +26,27 @@ def parse_config(text, source="<config>"):
 
 
 def serialize_config(mapping):
-    return "".join(f"{k}={v}\n" for k, v in mapping.items())
+    return "".join(f"{k}={_format(v)}\n" for k, v in mapping.items())
+
+
+def _format(value):
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def read_ascii(path):
+    """Whole text file; a non-ASCII byte is a DataFormatError naming its offset."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: non-ASCII byte 0x{blob[exc.start]:02x} at offset {exc.start}"
+        ) from None
 
 
 def load_config(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config(fh.read(), source=str(path))
+    return parse_config(read_ascii(path), source=str(path))
 
 
 def save_config(mapping, path):

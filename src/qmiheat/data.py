@@ -214,9 +214,12 @@ def read_ppm(path):
     for name in ("width", "height", "maxval"):
         tok, off = _read_token(blob, off, path)
         try:
-            dims.append(int(tok))
+            value = int(tok)
         except ValueError:
             raise DataFormatError(f"{path}: bad {name} token {tok!r}") from None
+        if value < 1:
+            raise DataFormatError(f"{path}: {name} must be positive, got {value}")
+        dims.append(value)
     w, h, maxval = dims
     if maxval != 255:
         raise DataFormatError(f"{path}: only maxval 255 supported, got {maxval}")

@@ -9,10 +9,12 @@ weight-sharing arithmetic under constructed zero context.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .backend import active_backend
+from .config import serialize_config
 from .data import image_to_float
 from .errors import DataFormatError
 from .models import VARIANTS, forward_scores, output_geometry
@@ -155,15 +157,13 @@ def render_overlay(heatmap, source_pixels):
     return np.clip(np.rint(0.5 * luma + 0.5 * up), 0, 255).astype(np.uint8)
 
 
-def benchmark_fps(model, height, width, n_frames=5, warmup=1, seed=0, backend=None):
+def benchmark_fps(model, height, width, n_frames=5, warmup=1, seed=0):
     """fps of full-frame inference on synthetic noise frames.
 
     Frames are pre-generated so only inference is timed.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    from .backend import active_backend
-
     rng = np.random.default_rng(seed)
     frames = [
         np.ascontiguousarray(
@@ -179,7 +179,7 @@ def benchmark_fps(model, height, width, n_frames=5, warmup=1, seed=0, backend=No
     wall = time.perf_counter() - t0
     return BenchReport(
         variant=model.variant,
-        backend=backend if backend is not None else active_backend(),
+        backend=active_backend(),
         height=height,
         width=width,
         frames=n_frames,
@@ -188,33 +188,7 @@ def benchmark_fps(model, height, width, n_frames=5, warmup=1, seed=0, backend=No
 
 
 def serialize_bench_report(report):
-    return (
-        f"variant={report.variant}\n"
-        f"backend={report.backend}\n"
-        f"height={report.height}\n"
-        f"width={report.width}\n"
-        f"frames={report.frames}\n"
-        f"wall_time_s={report.wall_time_s!r}\n"
-        f"fps={report.fps!r}\n"
-    )
-
-
-def parse_bench_report(text, source="<report>"):
-    from .config import parse_config
-
-    kv = parse_config(text, source=source)
-    try:
-        report = BenchReport(
-            variant=kv["variant"],
-            backend=kv["backend"],
-            height=int(kv["height"]),
-            width=int(kv["width"]),
-            frames=int(kv["frames"]),
-            wall_time_s=float(kv["wall_time_s"]),
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"{source}: missing field {exc.args[0]}") from None
-    return report
+    return serialize_config({**asdict(report), "fps": report.fps})
 
 
 def write_heatmap(heatmap, path):
@@ -260,6 +234,8 @@ def load_heatmap(path):
         src_h, src_w = (int(v) for v in fields(lines[5], "source", 2))
     except ValueError:
         raise DataFormatError(f"{path}: non-integer header field") from None
+    if gh < 1 or gw < 1:
+        raise DataFormatError(f"{path}: grid dims must be positive, got {gh} {gw}")
     need = gh * gw * 2 * 4
     if len(blob) - nl != need:
         raise DataFormatError(

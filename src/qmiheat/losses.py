@@ -1,11 +1,8 @@
-"""Classification losses over the two-channel classifier output, and the
-combined training objective.
+"""Classification losses over the two-channel classifier output.
 
 Scores arrive as an N x 2 matrix (one channel per class).  Both losses
 return the batch-mean loss together with its gradient w.r.t. the scores.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,29 +51,6 @@ def cross_entropy_loss(scores, labels):
 
 
 LOSSES = {HINGE: hinge_loss, CROSS_ENTROPY: cross_entropy_loss}
-
-
-@dataclass
-class LossBundle:
-    """The combined objective j_total = j_class + eta * j_mi."""
-
-    j_class: float
-    j_mi: float
-    eta: float
-    j_total: float
-
-
-def total_loss(j_class, j_mi, eta):
-    """Combine classification loss and regularizer loss.
-
-    eta in [0, 1] sets the relative weight of the regularizer; 0 disables
-    it and reduces the objective to the classification loss alone.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return LossBundle(
-        j_class=j_class, j_mi=j_mi, eta=eta, j_total=j_class + eta * j_mi
-    )
 
 
 def _check_scores(scores, labels):

@@ -160,8 +160,8 @@ def _crop_even(x):
     return x[:, :, : x.shape[2] - x.shape[2] % 2, : x.shape[3] - x.shape[3] % 2]
 
 
-def forward_features(model, x, crop_odd=False):
-    """Run the four feature stages; returns the embedding-layer activations.
+def forward_scores(model, x, crop_odd=False):
+    """Full forward pass to the 2-channel score map.
 
     With ``crop_odd`` the spatial dims are cropped to even right before
     every downsampling step (each pooling, and a strided conv's input),
@@ -171,7 +171,7 @@ def forward_features(model, x, crop_odd=False):
     a grid row whose window starts before the frame.  Training-size
     inputs never need either crop.
     """
-    for spec in model.layers[: model.embedding_layer_index + 1]:
+    for spec in model.layers:
         if crop_odd and spec.conv.stride == 2:
             x = _crop_even(x)
         x = conv2d_forward(x, spec.conv)
@@ -184,19 +184,12 @@ def forward_features(model, x, crop_odd=False):
     return x
 
 
-def forward_scores(model, x, crop_odd=False):
-    """Full forward pass to the 2-channel score map."""
-    feat = forward_features(model, x, crop_odd=crop_odd)
-    return conv2d_forward(feat, model.layers[-1].conv)
-
-
 def forward_training(model, x):
     """Forward pass on training-size input, keeping what backward needs.
 
     Returns (scores, embeddings, caches): scores N x 2 from the single
     output cell, embeddings N x d as the flattened post-pool activations of
-    the embedding layer, and per-layer caches ``(conv_in, pre_relu,
-    pool_idx)`` with ``pre_relu`` the full-size convolution output.
+    the embedding layer, and per-layer caches ``(conv_in, pool_idx)``.
 
     Each stage pools before its ReLU: max-pooling commutes with the
     monotone ReLU, so the outputs equal ReLU-then-pool while the ReLU
@@ -211,13 +204,13 @@ def forward_training(model, x):
     caches = []
     for spec in model.layers:
         conv_in = x
-        pre_relu = x = conv2d_forward(x, spec.conv)
+        x = conv2d_forward(x, spec.conv)
         pool_idx = None
         if spec.pool:
             x, pool_idx = maxpool2x2_forward(x)
         if spec.relu:
             x = relu_forward(x)
-        caches.append((conv_in, pre_relu, pool_idx))
+        caches.append((conv_in, pool_idx))
     if x.shape[2:] != (1, 1):
         raise ValueError(f"training forward must end in a 1x1 cell, got {x.shape}")
     embedding_map = caches[-1][0]
@@ -240,7 +233,7 @@ def backprop(model, caches, grad_scores, grad_embedding=None):
     param_grads = [None] * len(model.layers)
 
     head = model.layers[-1]
-    conv_in, _, _ = caches[-1]
+    conv_in, _ = caches[-1]
     g = grad_scores.reshape(n, 2, 1, 1).astype(np.float32, copy=False)
     g, gk, gb = conv2d_backward(conv_in, head.conv, g)
     param_grads[-1] = (gk, gb)
@@ -250,7 +243,7 @@ def backprop(model, caches, grad_scores, grad_embedding=None):
 
     for i in range(model.embedding_layer_index, -1, -1):
         spec = model.layers[i]
-        conv_in, _, pool_idx = caches[i]
+        conv_in, pool_idx = caches[i]
         if spec.relu:
             g = relu_backward(caches[i + 1][0], g)
         if spec.pool:

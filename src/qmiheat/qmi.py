@@ -2,7 +2,7 @@
 
 The dependence between an embedding batch and its binary labels is measured
 through three pairwise interaction sums (information potentials) built from
-a sample-similarity kernel:
+the width-free Euclidean similarity ``1 / (1 + ||a - b||^2)``:
 
     v_in   within-class pair interactions
     v_all  all-pairs interactions, weighted by the squared class priors
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EUCLIDEAN = "euclidean"
-GAUSSIAN = "gaussian"
 
 
 @dataclass
@@ -72,29 +70,13 @@ def euclidean_similarity(a, b):
     return 1.0 / (1.0 + d2)
 
 
-def gaussian_similarity(a, b, sigma):
-    """Gaussian kernel exp(-||a - b||^2 / (2 sigma^2)); sigma > 0."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    a, b = _check_pair(a, b)
-    d2 = float(np.dot(a - b, a - b))
-    return float(np.exp(-d2 / (2.0 * sigma * sigma)))
-
-
-def pairwise_similarity(y, kernel=EUCLIDEAN, sigma=None):
-    """N x N similarity matrix over the rows of ``y``.
+def pairwise_similarity(y):
+    """N x N Euclidean-similarity matrix over the rows of ``y``.
 
     Computed once per batch and shared by all three potentials.
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    d2 = _pairwise_sq_dists(y)
-    if kernel == EUCLIDEAN:
-        return 1.0 / (1.0 + d2)
-    if kernel == GAUSSIAN:
-        if sigma is None or sigma <= 0:
-            raise ValueError("gaussian kernel needs sigma > 0")
-        return np.exp(-d2 / (2.0 * sigma * sigma))
-    raise ValueError(f"unknown kernel {kernel!r}")
+    return 1.0 / (1.0 + _pairwise_sq_dists(y))
 
 
 def information_potentials(k, labels):
@@ -141,21 +123,21 @@ def information_potentials(k, labels):
     )
 
 
-def batch_potentials(batch, kernel=EUCLIDEAN, sigma=None):
+def batch_potentials(batch):
     """Potentials straight from an embedding batch.
 
     Works for a mini-batch or for a whole (small) dataset alike; class
     priors are always the in-batch counts.
     """
-    k = pairwise_similarity(batch.y, kernel=kernel, sigma=sigma)
+    k = pairwise_similarity(batch.y)
     return information_potentials(k, batch.labels)
 
 
 def quadratic_mutual_information(p):
     """Plug-in QMI estimate ``v_in + v_all - 2 * v_btw``.
 
-    Non-negative (up to roundoff) for positive-definite kernels such as the
-    Euclidean similarity.
+    Non-negative (up to roundoff), because the Euclidean similarity is a
+    positive-definite kernel.
     """
     return p.v_in + p.v_all - 2.0 * p.v_btw
 
@@ -169,7 +151,7 @@ def regularizer_loss(p):
     return -(p.v_in + p.v_all)
 
 
-def regularizer_gradient(batch, kernel=EUCLIDEAN):
+def regularizer_gradient(batch):
     """Exact gradient of :func:`regularizer_loss` w.r.t. each embedding row.
 
     Uses the closed form of the Euclidean-similarity derivative
@@ -181,14 +163,10 @@ def regularizer_gradient(batch, kernel=EUCLIDEAN):
     Rows sum to the zero vector because the loss depends only on pairwise
     differences.
     """
-    if kernel != EUCLIDEAN:
-        raise NotImplementedError(
-            f"no analytic gradient for kernel {kernel!r}; only {EUCLIDEAN!r}"
-        )
     y = batch.y
     labels = batch.labels
     n = y.shape[0]
-    k = pairwise_similarity(y, kernel=EUCLIDEAN)
+    k = pairwise_similarity(y)
     same = (labels[:, None] == labels[None, :]).astype(np.float64)
     j0, j1 = int((labels == 0).sum()), int((labels == 1).sum())
     n2 = float(n) * float(n)

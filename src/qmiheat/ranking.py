@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
+from .config import read_ascii
 from .errors import DataFormatError
 
 # Two-tailed standard-normal quantile at alpha=0.05 for the two-method
 # comparison; callers with more methods or other levels supply their own q.
-Q_TABLE = {(0.05, 2): 1.960}
-DEFAULT_Q = Q_TABLE[(0.05, 2)]
+DEFAULT_Q = 1.960
 
 
 @dataclass
@@ -91,8 +91,7 @@ def rank_methods(table, q_alpha=DEFAULT_Q, control_index=0):
 def load_score_table(path):
     """Comma-separated table: header row of dataset names (first cell is a
     corner label), then one row per method: name, scores."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in read_ascii(path).splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty score table")
     header = [c.strip() for c in lines[0].split(",")]

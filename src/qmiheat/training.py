@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import save_config
 from .data import to_float
 from .errors import DataFormatError, TrainingDivergedError
 from .layers import OptimizerState, sgd_momentum_step
@@ -25,13 +26,7 @@ from .models import (
     forward_training,
     parameters,
 )
-from .qmi import (
-    EUCLIDEAN,
-    EmbeddingBatch,
-    batch_potentials,
-    regularizer_gradient,
-    regularizer_loss,
-)
+from .qmi import EmbeddingBatch, batch_potentials, regularizer_gradient, regularizer_loss
 
 _EVAL_BATCH = 256
 
@@ -85,11 +80,9 @@ _FIELD_OF_KEY = {"loss": "loss_kind"}
 
 
 def config_to_mapping(config):
-    out = {}
-    for key, _ in _CONFIG_KEYS:
-        value = getattr(config, _FIELD_OF_KEY.get(key, key))
-        out[key] = repr(value) if isinstance(value, float) else str(value)
-    return out
+    return {
+        key: getattr(config, _FIELD_OF_KEY.get(key, key)) for key, _ in _CONFIG_KEYS
+    }
 
 
 def config_from_mapping(mapping, source="<config>"):
@@ -153,8 +146,8 @@ def batch_gradients(model, x, labels, loss_kind, eta):
     grad_embedding = None
     if eta > 0.0:
         batch = EmbeddingBatch(y=embeddings.astype(np.float64), labels=labels)
-        j_mi = regularizer_loss(batch_potentials(batch, kernel=EUCLIDEAN))
-        grad_embedding = eta * regularizer_gradient(batch, kernel=EUCLIDEAN)
+        j_mi = regularizer_loss(batch_potentials(batch))
+        grad_embedding = eta * regularizer_gradient(batch)
     per_layer = backprop(model, caches, grad_scores, grad_embedding)
     grads = []
     for gk, gb in per_layer:
@@ -289,11 +282,9 @@ def load_history(path):
 
 
 def write_summary(summary, path):
-    lines = {"runs": str(len(summary.max_accuracies))}
+    mapping = {"runs": len(summary.max_accuracies)}
     for i, acc in enumerate(summary.max_accuracies, start=1):
-        lines[f"run_{i}_max_accuracy"] = repr(float(acc))
-    lines["mean_max_accuracy"] = repr(summary.mean)
-    lines["std_max_accuracy"] = repr(summary.std)
-    with open(path, "w", encoding="ascii") as fh:
-        for key, value in lines.items():
-            fh.write(f"{key}={value}\n")
+        mapping[f"run_{i}_max_accuracy"] = float(acc)
+    mapping["mean_max_accuracy"] = summary.mean
+    mapping["std_max_accuracy"] = summary.std
+    save_config(mapping, path)

@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 from conftest import central_difference, conv2d_oracle, potentials_oracle, relative_error
-from qmiheat.backend import available_backends, forced_backend
+from qmiheat.backend import active_backend
 from qmiheat.cli import run_cli
 from qmiheat.data import generate_synthetic_split, image_to_float, write_packed
 from qmiheat.heatmap import benchmark_fps, fully_conv_inference, sliding_window_oracle
@@ -363,7 +363,7 @@ def test_accept_8_throughput_ratio():
     has to come from per-window overhead, which this single-core machine
     does not pay enough of.  Measured here: mid-single-digit speedups on
     both backends.  The check passes wherever the machine clears 10x and
-    records the measured ratios otherwise."""
+    records the measured ratio of the active backend otherwise."""
     model = build_model("rf32", seed=8)
     rng = np.random.default_rng(88)
     image = rng.integers(0, 256, (480, 640, 3), dtype=np.uint8)
@@ -371,18 +371,10 @@ def test_accept_8_throughput_ratio():
     ok = ratio >= 10.0
     _verdict("8", "dense scan at least 10x the windowed scan", ok)
     if not ok:
-        lines = [
-            f"active backend: {windowed * 1e3:.1f}ms windowed / "
+        _info(
+            f"{active_backend()} backend: {windowed * 1e3:.1f}ms windowed / "
             f"{dense * 1e3:.1f}ms dense = {ratio:.2f}x"
-        ]
-        for name in available_backends():
-            with forced_backend(name):
-                r, d, w = _throughput_ratio(model, image)
-            lines.append(
-                f"{name}: {w * 1e3:.1f}ms windowed / {d * 1e3:.1f}ms dense = {r:.2f}x"
-            )
-        for line in lines:
-            _info(line)
+        )
         pytest.xfail(f"measured {ratio:.2f}x on this machine, bar is 10x")
 
 

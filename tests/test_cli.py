@@ -192,27 +192,6 @@ def test_bench_report_and_output_file(tmp_path, capsys):
     assert out_p.read_text() == printed
 
 
-def test_bench_compare_backends(capsys):
-    from qmiheat.backend import available_backends
-
-    code = run_cli(
-        [
-            "bench",
-            "--height", "64",
-            "--width", "64",
-            "--frames", "1",
-            "--warmup", "0",
-            "--compare-backends",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    for name in available_backends():
-        assert f"backend={name}" in out
-    if len(available_backends()) == 2:
-        assert "compiled_over_numpy=" in out
-
-
 def test_rank_command(tmp_path, capsys):
     table_p = tmp_path / "scores.csv"
     table_p.write_text(
@@ -234,6 +213,46 @@ def test_rank_control_out_of_range_is_usage_error(tmp_path, capsys):
     table_p.write_text("method,a\nx,0.5\ny,0.6\n")
     assert run_cli(["rank", "--table", str(table_p), "--control", "7"]) == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_non_ascii_byte_in_table_or_config_is_a_data_error(tmp_path, split_files, capsys):
+    table_p = tmp_path / "bad.csv"
+    table_p.write_bytes(b"method,a\nx,0.5\ny,0.\xff6\n")
+    assert run_cli(["rank", "--table", str(table_p)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv: non-ASCII byte 0xff at offset 19" in err
+
+    train_p, test_p = split_files
+    config_p = tmp_path / "bad.cfg"
+    config_p.write_bytes(b"epochs=1\n\xffbatch_size=8\n")
+    code = run_cli(
+        [
+            "train",
+            "--train", str(train_p),
+            "--test", str(test_p),
+            "--out-dir", str(tmp_path / "o"),
+            "--config", str(config_p),
+        ]
+    )
+    assert code == 2
+    assert "bad.cfg: non-ASCII byte 0xff at offset 9" in capsys.readouterr().err
+
+
+def test_negative_image_dims_are_a_data_error(tmp_path, capsys):
+    model_p = tmp_path / "m.vggh"
+    save_model(build_model("rf32", seed=0), model_p)
+    img_p = tmp_path / "negative.ppm"
+    img_p.write_bytes(b"P6\n-1 -2\n255\n" + bytes(6))
+    code = run_cli(
+        [
+            "heatmap",
+            "--model", str(model_p),
+            "--image", str(img_p),
+            "--out", str(tmp_path / "scores.hmap"),
+        ]
+    )
+    assert code == 2
+    assert "negative.ppm: width must be positive, got -1" in capsys.readouterr().err
 
 
 def test_missing_input_file_is_a_data_error(tmp_path, capsys):

@@ -179,6 +179,11 @@ def test_ppm_reader_rejects_wrong_magic_and_truncation(tmp_path):
     q.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
     with pytest.raises(DataFormatError):
         read_ppm(q)
+    # (-1) * (-2) pixels match a 6-byte payload
+    r = tmp_path / "z.ppm"
+    r.write_bytes(b"P6\n-1 -2\n255\n" + bytes(6))
+    with pytest.raises(DataFormatError, match="z.ppm: width must be positive, got -1"):
+        read_ppm(r)
 
 
 def test_pgm_writer_produces_standard_header(tmp_path):

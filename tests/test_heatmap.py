@@ -11,13 +11,13 @@ from qmiheat.heatmap import (
     fully_conv_inference,
     heatmap_values,
     load_heatmap,
-    parse_bench_report,
     render_heatmap,
     render_overlay,
     serialize_bench_report,
     sliding_window_oracle,
     write_heatmap,
 )
+from qmiheat.config import parse_config
 from qmiheat.models import build_model, forward_scores, output_geometry
 from qmiheat.data import image_to_float
 
@@ -179,6 +179,13 @@ def test_heatmap_file_rejects_corruption(tmp_path):
     with pytest.raises(DataFormatError, match="non-integer"):
         load_heatmap(nonint)
 
+    # (-1) * (-2) cells match a 16-byte payload
+    header = b"\n".join(blob.split(b"\n")[:6]).replace(b"grid 1 2", b"grid -1 -2")
+    negative = tmp_path / "neg.hmap"
+    negative.write_bytes(header + b"\n" + bytes(16))
+    with pytest.raises(DataFormatError, match="neg.hmap: grid dims must be positive"):
+        load_heatmap(negative)
+
 
 def test_bench_report_round_trip_is_lossless():
     report = BenchReport(
@@ -190,15 +197,15 @@ def test_bench_report_round_trip_is_lossless():
         wall_time_s=0.30000000000000004,
     )
     text = serialize_bench_report(report)
-    back = parse_bench_report(text)
-    assert back == report
-    assert back.fps == report.fps
-    assert f"fps={report.fps!r}" in text
-
-
-def test_bench_report_missing_field():
-    with pytest.raises(DataFormatError, match="missing field"):
-        parse_bench_report("variant=rf32\nbackend=compiled\n", source="r.txt")
+    fields = parse_config(text)
+    assert list(fields) == [
+        "variant", "backend", "height", "width", "frames", "wall_time_s", "fps"
+    ]
+    assert fields["variant"] == "rf64" and fields["backend"] == "compiled"
+    assert (int(fields["height"]), int(fields["width"])) == (1080, 1920)
+    assert int(fields["frames"]) == 5
+    assert float(fields["wall_time_s"]) == report.wall_time_s
+    assert float(fields["fps"]) == report.fps
 
 
 def test_benchmark_fps_small_run():

@@ -1,4 +1,4 @@
-"""Classification losses and the combined objective."""
+"""Classification losses."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from qmiheat.losses import (
     LOSSES,
     cross_entropy_loss,
     hinge_loss,
-    total_loss,
 )
 
 
@@ -83,24 +82,6 @@ def test_loss_gradients_match_finite_differences():
 def test_loss_registry_keys():
     assert set(LOSSES) == {HINGE, CROSS_ENTROPY}
     assert LOSSES[HINGE] is hinge_loss
-
-
-def test_total_loss_combination():
-    bundle = total_loss(1.0, -0.8, 0.001)
-    assert bundle.j_total == pytest.approx(0.9992)
-    assert bundle.eta == 0.001
-
-
-def test_total_loss_eta_zero_is_classification_only():
-    bundle = total_loss(0.7, -123.0, 0.0)
-    assert bundle.j_total == 0.7
-
-
-def test_total_loss_rejects_eta_outside_unit_interval():
-    with pytest.raises(ValueError):
-        total_loss(1.0, 0.0, -0.1)
-    with pytest.raises(ValueError):
-        total_loss(1.0, 0.0, 1.5)
 
 
 def test_default_eta_value():

@@ -186,16 +186,16 @@ def test_backprop_equals_manual_layer_chain():
         got = backprop(m, caches, go, grad_embedding=ge)
 
         # independent re-walk of the same caches
-        conv_in, _, _ = caches[4]
+        conv_in, _ = caches[4]
         g = go.reshape(3, 2, 1, 1)
         g, gk, gb = conv2d_backward(conv_in, m.layers[4].conv, g)
         want = [None] * 5
         want[4] = (gk, gb)
         g = g + ge.reshape(g.shape)
         for i in (3, 2, 1, 0):
-            conv_in, pre_relu, pool_idx = caches[i]
+            conv_in, pool_idx = caches[i]
+            g = relu_backward(caches[i + 1][0], g)
             g = maxpool2x2_backward(pool_idx, g)
-            g = relu_backward(pre_relu, g)
             g, gk, gb = conv2d_backward(conv_in, m.layers[i].conv, g)
             want[i] = (gk, gb)
 
@@ -226,7 +226,7 @@ def _argmax_unpool(idx, g):
 
 def _relu_then_pool_walk(model, x, crop_odd=False):
     """Reference forward in the ReLU-before-pool order, with argmax pooling
-    and even crops as forward_features places them; returns the score map
+    and even crops as forward_scores places them; returns the score map
     and per-layer (conv_in, pre_relu, argmax) caches."""
     caches = []
     for spec in model.layers:

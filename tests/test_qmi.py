@@ -5,12 +5,9 @@ import pytest
 from conftest import central_difference, potentials_oracle, relative_error
 
 from qmiheat.qmi import (
-    EUCLIDEAN,
-    GAUSSIAN,
     EmbeddingBatch,
     batch_potentials,
     euclidean_similarity,
-    gaussian_similarity,
     information_potentials,
     pairwise_similarity,
     quadratic_mutual_information,
@@ -34,17 +31,6 @@ def test_similarity_hand_values():
     assert euclidean_similarity([0.0, 0.0], [3.0, 4.0]) == pytest.approx(1.0 / 26.0)
 
 
-def test_gaussian_similarity_values_and_monotonicity():
-    assert gaussian_similarity([0.0], [0.0], sigma=1.0) == 1.0
-    d = gaussian_similarity([0.0], [np.sqrt(2.0)], sigma=1.0)
-    assert d == pytest.approx(np.exp(-1.0))
-    near = gaussian_similarity([0.0], [0.5], sigma=1.0)
-    far = gaussian_similarity([0.0], [2.0], sigma=1.0)
-    assert near > far
-    with pytest.raises(ValueError):
-        gaussian_similarity([0.0], [1.0], sigma=0.0)
-
-
 def test_pairwise_matrix_basics():
     assert np.array_equal(pairwise_similarity([[2.0, 3.0]]), [[1.0]])
     y = np.zeros((4, 3))
@@ -57,13 +43,6 @@ def test_pairwise_matrix_basics():
             assert k[i, j] == pytest.approx(euclidean_similarity(y[i], y[j]), abs=1e-12)
     assert np.allclose(k, k.T)
     assert np.array_equal(np.diag(k), np.ones(5))
-
-
-def test_pairwise_gaussian_requires_sigma():
-    with pytest.raises(ValueError):
-        pairwise_similarity(np.zeros((2, 2)), kernel=GAUSSIAN)
-    with pytest.raises(ValueError):
-        pairwise_similarity(np.zeros((2, 2)), kernel="triangle")
 
 
 def test_identical_embeddings_give_zero_qmi():
@@ -181,12 +160,6 @@ def test_gradient_matches_finite_differences():
 
         fd = central_difference(loss, batch.y.copy())
         assert relative_error(g, fd) <= 1e-4
-
-
-def test_gradient_only_for_the_parameterless_kernel():
-    batch = EmbeddingBatch(y=np.zeros((2, 2)), labels=[0, 1])
-    with pytest.raises(NotImplementedError):
-        regularizer_gradient(batch, kernel=GAUSSIAN)
 
 
 def test_permutation_invariance():
