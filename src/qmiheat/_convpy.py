@@ -10,8 +10,11 @@ import numpy as np
 
 NAME = "numpy"
 
-# Patch-buffer budget per strip, in float32 elements (~32 MB).
-_STRIP_BUDGET = 8_000_000
+# Patch-buffer budget per strip, in float32 elements (~1 MB at batch 1).
+# At that size malloc serves every strip from reused heap memory; a 32 MB
+# buffer is mapped fresh for each strip, and faulting its zeroed pages in
+# cost a full-frame scan more than its matrix products did.
+_STRIP_BUDGET = 250_000
 
 
 def _out_dim(size, k, stride, pad):
