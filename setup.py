@@ -1,34 +1,24 @@
-"""Build script for the compiled convolution core.
+"""Build script for the optional compiled convolution core.
 
-The extension is optional: when Cython (or a C compiler) is unavailable the
-package installs without it and falls back to the numpy implementation at
-import time.
+The core is built from the committed, generated ``src/qmiheat/_convcore.c``
+and needs only a C compiler and the numpy headers.  After editing
+``_convcore.pyx``, regenerate the C file with
+``cython src/qmiheat/_convcore.pyx``.  Where the extension does not build,
+the package installs without it and runs the numpy implementation.
 """
 
+import numpy
 from setuptools import Extension, setup
 
-try:
-    import numpy
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "qmiheat._convcore",
-                ["src/qmiheat/_convcore.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-            )
-        ],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "qmiheat._convcore",
+            ["src/qmiheat/_convcore.c"],
+            include_dirs=[numpy.get_include()],
+            extra_compile_args=["-O3"],
+            define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
+            optional=True,
+        )
+    ]
+)

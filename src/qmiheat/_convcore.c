@@ -8809,11 +8809,11 @@ __Pyx_RefNannySetupContext("PyInit__convcore", 0);
   /* "qmiheat/_convcore.pyx":21
  * 
  * # Patch-buffer budget in floats, mirroring the numpy backend.
- * cdef Py_ssize_t _STRIP_BUDGET = 8000000             # <<<<<<<<<<<<<<
+ * cdef Py_ssize_t _STRIP_BUDGET = 250000             # <<<<<<<<<<<<<<
  * 
  * 
 */
-  __pyx_v_7qmiheat_9_convcore__STRIP_BUDGET = 0x7A1200;
+  __pyx_v_7qmiheat_9_convcore__STRIP_BUDGET = 0x3D090;
 
   /* "qmiheat/_convcore.pyx":116
  * 

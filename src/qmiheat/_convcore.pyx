@@ -18,7 +18,7 @@ cnp.import_array()
 NAME = "compiled"
 
 # Patch-buffer budget in floats, mirroring the numpy backend.
-cdef Py_ssize_t _STRIP_BUDGET = 8000000
+cdef Py_ssize_t _STRIP_BUDGET = 250000
 
 
 cdef void _gather(const float* xp, Py_ssize_t ic, Py_ssize_t h, Py_ssize_t w,

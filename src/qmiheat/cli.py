@@ -116,8 +116,10 @@ def _cmd_synth(args):
 
 def _train_config(args):
     mapping = {}
+    sources = []
     if args.config:
         mapping.update(load_config(args.config))
+        sources.append(args.config)
     flag_keys = (
         ("variant", args.variant),
         ("loss", args.loss),
@@ -129,10 +131,11 @@ def _train_config(args):
         ("lr_final", args.lr_final),
         ("momentum", args.momentum),
     )
-    for key, value in flag_keys:
-        if value is not None:
-            mapping[key] = value
-    return config_from_mapping(mapping, source="command line")
+    flags = {key: value for key, value in flag_keys if value is not None}
+    if flags or not sources:
+        sources.append("command line")
+    mapping.update(flags)
+    return config_from_mapping(mapping, source=" and ".join(sources))
 
 
 def _cmd_train(args):

@@ -54,14 +54,14 @@ class LayerSpec:
 class NetworkSpec:
     """Five-convolution network: four feature stages and a 2-channel head.
 
-    The flattened post-ReLU, post-pool activations of the layer at
-    ``embedding_layer_index`` are the embeddings the regularizer acts on.
-    Immutable once trained; safe to share read-only across threads.
+    The flattened post-ReLU, post-pool activations of the last feature
+    stage, which are the head's input, are the embeddings the regularizer
+    acts on.  Immutable once trained; safe to share read-only across
+    threads.
     """
 
     variant: str
     layers: list
-    embedding_layer_index: int = 3
 
     @property
     def window_px(self):
@@ -160,25 +160,23 @@ def _crop_even(x):
     return x[:, :, : x.shape[2] - x.shape[2] % 2, : x.shape[3] - x.shape[3] % 2]
 
 
-def forward_scores(model, x, crop_odd=False):
+def forward_scores(model, x):
     """Full forward pass to the 2-channel score map.
 
-    With ``crop_odd`` the spatial dims are cropped to even right before
-    every downsampling step (each pooling, and a strided conv's input),
-    which realizes floor-based geometry on arbitrary frame sizes
-    (remainder pixels drop on the right/bottom).  Without the input crop
-    a padded stride-2 conv on an odd dim would round up instead, minting
-    a grid row whose window starts before the frame.  Training-size
-    inputs never need either crop.
+    The spatial dims are cropped to even right before every downsampling
+    step (each pooling, and a strided conv's input), which realizes
+    floor-based geometry on arbitrary frame sizes (remainder pixels drop
+    on the right/bottom).  Without the input crop a padded stride-2 conv
+    on an odd dim would round up instead, minting a grid row whose window
+    starts before the frame.  On even dims the crop is the whole,
+    contiguous array, so training-size inputs pass through unchanged.
     """
     for spec in model.layers:
-        if crop_odd and spec.conv.stride == 2:
+        if spec.conv.stride == 2:
             x = _crop_even(x)
         x = conv2d_forward(x, spec.conv)
         if spec.pool:
-            if crop_odd:
-                x = _crop_even(x)
-            x = maxpool2x2_infer(x)
+            x = maxpool2x2_infer(_crop_even(x))
         if spec.relu:
             x = relu_infer(x)
     return x
@@ -241,7 +239,7 @@ def backprop(model, caches, grad_scores, grad_embedding=None):
     if grad_embedding is not None:
         g = g + grad_embedding.reshape(g.shape).astype(np.float32, copy=False)
 
-    for i in range(model.embedding_layer_index, -1, -1):
+    for i in range(len(model.layers) - 2, -1, -1):
         spec = model.layers[i]
         conv_in, pool_idx = caches[i]
         if spec.relu:
@@ -257,11 +255,11 @@ def embedding_dim(model):
     """Flattened embedding width for training-size input (128 for both
     variants under the default channel widths)."""
     size = model.window_px
-    for i, spec in enumerate(model.layers[: model.embedding_layer_index + 1]):
+    for spec in model.layers[:-1]:
         size = (size + 2 * spec.conv.pad - spec.conv.kernel.shape[2]) // spec.conv.stride + 1
         if spec.pool:
             size //= 2
-    return size * size * model.layers[model.embedding_layer_index].conv.out_channels
+    return size * size * model.layers[-2].conv.out_channels
 
 
 def save_model(model, path):

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .config import read_ascii
 from .errors import DataFormatError
@@ -55,6 +54,10 @@ class RankingResult:
 
 def average_ranks(table):
     """Mean over datasets of per-dataset descending ranks (1 = best)."""
+    # Imported here: scipy.stats takes over a second to import, and only
+    # the rank command needs it.
+    from scipy.stats import rankdata
+
     ranks = rankdata(-table.scores, method="average", axis=0)
     return ranks.mean(axis=1)
 
@@ -144,11 +147,11 @@ def format_report(table, result):
     return "\n".join(lines) + "\n"
 
 
-def render_rank_plot(table, result, width=480, row_height=24):
+def render_rank_plot(table, result):
     """Grayscale rank plot: one row per method, interval bar rank +/- cd/2
     around a mean-rank tick, on an axis spanning ranks 1..m."""
     m = len(table.methods)
-    margin = 20
+    width, row_height, margin = 480, 24, 20
     height = 2 * margin + m * row_height
     img = np.full((height, width), 255, dtype=np.uint8)
     span = max(m - 1, 1)

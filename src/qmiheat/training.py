@@ -8,6 +8,7 @@ skipped entirely, so a zero-eta run is bit-identical to a build without
 the regularizer.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,14 @@ class TrainConfig:
             raise ValueError("pairwise regularizer needs batch_size >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        for name in ("lr_initial", "lr_final"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 _CONFIG_KEYS = (
@@ -227,22 +236,18 @@ def _accuracy(model, x, labels):
     return correct / x.shape[0]
 
 
-def repeated_experiment(config, train_set, test_set, k=5, seeds=None, on_run=None):
-    """k independent runs with seeds seed+0..k-1 (or an explicit list);
-    summarizes max test accuracies as mean and population std.
+def repeated_experiment(config, train_set, test_set, k=5, on_run=None):
+    """k independent runs with seeds seed+0..k-1; summarizes max test
+    accuracies as mean and population std.
 
     ``on_run(index, model, history)`` fires after each run, for callers
     that persist per-run artifacts.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if seeds is None:
-        seeds = [config.seed + i for i in range(k)]
-    elif len(seeds) != k:
-        raise ValueError("need exactly k seeds")
     maxima = []
-    for i, seed in enumerate(seeds):
-        run_config = TrainConfig(**{**config.__dict__, "seed": seed})
+    for i in range(k):
+        run_config = TrainConfig(**{**config.__dict__, "seed": config.seed + i})
         model, history = train(run_config, train_set, test_set)
         maxima.append(history.max_test_accuracy)
         if on_run is not None:

@@ -314,17 +314,49 @@ def test_diverging_training_exits_3(tmp_path, split_files, capsys):
 
 def test_bad_parameter_value_from_flags_is_a_data_error(tmp_path, split_files, capsys):
     train_p, test_p = split_files
-    code = run_cli(
-        [
+    for flag, value, field in (
+        ("--eta", "2.0", "eta"),
+        ("--seed", "-1", "seed"),
+        ("--momentum", "1.5", "momentum"),
+        ("--lr-initial", "-0.1", "lr_initial"),
+        ("--lr-final", "nan", "lr_final"),
+    ):
+        code = run_cli(
+            [
+                "train",
+                "--train", str(train_p),
+                "--test", str(test_p),
+                "--out-dir", str(tmp_path / "o"),
+                flag, value,
+            ]
+        )
+        assert code == 2
+        assert f"data error: command line: {field}" in capsys.readouterr().err
+
+
+def test_out_of_range_config_file_value_is_a_data_error(tmp_path, split_files, capsys):
+    train_p, test_p = split_files
+    config_p = tmp_path / "run.cfg"
+    for line, field in (
+        ("seed=-1", "seed"),
+        ("momentum=1.5", "momentum"),
+        ("lr_initial=-0.1", "lr_initial"),
+        ("lr_final=nan", "lr_final"),
+    ):
+        config_p.write_text(f"epochs=1\n{line}\n")
+        argv = [
             "train",
             "--train", str(train_p),
             "--test", str(test_p),
             "--out-dir", str(tmp_path / "o"),
-            "--eta", "2.0",
+            "--config", str(config_p),
         ]
-    )
-    assert code == 2
-    assert "eta" in capsys.readouterr().err
+        assert run_cli(argv) == 2
+        assert f"data error: {config_p}: {field}" in capsys.readouterr().err
+        # with flags as well, the message names both sources
+        assert run_cli(argv + ["--batch", "8"]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {config_p} and command line: {field}" in err
 
 
 def test_zero_runs_is_a_usage_error(tmp_path, split_files, capsys):

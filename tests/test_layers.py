@@ -1,5 +1,8 @@
 """Layer kit: convolution, pooling, ReLU, SGD against literal references."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import central_difference, conv2d_oracle, relative_error
@@ -115,14 +118,62 @@ def test_backends_agree_bitwise_on_forward_and_backward():
     x = rng.standard_normal((2, 3, 11, 13)).astype(np.float32)
     wt = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
     b = rng.standard_normal(4).astype(np.float32)
-    outs, grads = [], []
-    for core in (_convpy, _convcore):
-        out = core.conv2d_forward(x, wt, b, 1, 1)
-        grads.append(core.conv2d_backward(x, wt, 1, 1, np.ones_like(out)))
-        outs.append(out)
-    assert np.abs(outs[0] - outs[1]).max() <= 1e-5
-    for a, bb in zip(grads[0], grads[1]):
-        assert np.abs(a - bb).max() <= 1e-5
+    # A frame wide enough to be gathered in several row strips; small
+    # values keep the float32 sums of its weight gradient well inside 1e-5.
+    wide = (
+        rng.uniform(-0.01, 0.01, (1, 16, 24, 200)).astype(np.float32),
+        rng.standard_normal((8, 16, 3, 3)).astype(np.float32),
+        rng.standard_normal(8).astype(np.float32),
+    )
+    assert _convpy._row_strip(16 * 3 * 3, 200, 24) < 24
+    for x, wt, b in ((x, wt, b), wide):
+        outs, grads = [], []
+        for core in (_convpy, _convcore):
+            out = core.conv2d_forward(x, wt, b, 1, 1)
+            grads.append(core.conv2d_backward(x, wt, 1, 1, np.ones_like(out)))
+            outs.append(out)
+        assert np.abs(outs[0] - outs[1]).max() <= 1e-5
+        for a, bb in zip(grads[0], grads[1]):
+            assert np.abs(a - bb).max() <= 1e-5
+
+
+_CORE_SRC = Path(__file__).resolve().parents[1] / "src" / "qmiheat"
+_CYTHON_MARK = "             # <<<<<<<<<<<<<<"
+
+
+def test_compiled_core_c_is_generated_from_its_pyx_with_the_numpy_strip_budget():
+    """The core builds from the committed C without Cython, so a .pyx edit
+    reaches the build only once the C is regenerated from it.  Cython's C
+    quotes each source line it compiles under a ``"qmiheat/_convcore.pyx":N``
+    comment; every quote must equal line N of the .pyx."""
+    pyx_text = (_CORE_SRC / "_convcore.pyx").read_text(encoding="ascii")
+    c_text = (_CORE_SRC / "_convcore.c").read_text(encoding="utf-8")
+    pyx = pyx_text.splitlines()
+    quoted, line_no = {}, None
+    for line in c_text.splitlines():
+        header = re.fullmatch(r'\s*/\* "qmiheat/_convcore\.pyx":(\d+)', line)
+        if header:
+            line_no = int(header.group(1))
+        elif line_no is not None and line.endswith(_CYTHON_MARK):
+            quoted[line_no] = line[len(" * ") : -len(_CYTHON_MARK)]
+            line_no = None
+    assert len(quoted) > 100
+    stale = {
+        n: (text, pyx[n - 1].rstrip() if n <= len(pyx) else None)
+        for n, text in quoted.items()
+        if n > len(pyx) or text != pyx[n - 1].rstrip()
+    }
+    assert not stale, (
+        f"_convcore.c quotes lines that differ from _convcore.pyx (line: "
+        f"(C, pyx)) {stale}; regenerate it with `cython src/qmiheat/_convcore.pyx`"
+    )
+
+    pyx_budget = re.search(r"^cdef Py_ssize_t _STRIP_BUDGET = (\d+)$", pyx_text, re.M)
+    c_budget = re.search(
+        r"__pyx_v_7qmiheat_9_convcore__STRIP_BUDGET = (0x[0-9A-F]+|\d+);", c_text
+    )
+    assert int(pyx_budget.group(1)) == _convpy._STRIP_BUDGET
+    assert int(c_budget.group(1), 0) == _convpy._STRIP_BUDGET
 
 
 def test_strided_conv_geometry():

@@ -103,7 +103,7 @@ def test_strided_stack_respects_geometry_on_awkward_odd_dims():
     for h, w in ((127, 127), (319, 95), (64, 127)):
         x = rng.random((1, 3, h, w), dtype=np.float32)
         geo = output_geometry(RF64, h, w)
-        scores = forward_scores(model, x, crop_odd=True)
+        scores = forward_scores(model, x)
         assert scores.shape == (1, 2, geo.grid_h, geo.grid_w)
 
 
@@ -224,13 +224,13 @@ def _argmax_unpool(idx, g):
     )
 
 
-def _relu_then_pool_walk(model, x, crop_odd=False):
+def _relu_then_pool_walk(model, x):
     """Reference forward in the ReLU-before-pool order, with argmax pooling
     and even crops as forward_scores places them; returns the score map
     and per-layer (conv_in, pre_relu, argmax) caches."""
     caches = []
     for spec in model.layers:
-        if crop_odd and spec.conv.stride == 2:
+        if spec.conv.stride == 2:
             x = x[:, :, : x.shape[2] // 2 * 2, : x.shape[3] // 2 * 2]
         conv_in = x
         pre_relu = conv2d_forward(x, spec.conv)
@@ -283,8 +283,8 @@ def test_pool_then_relu_matches_relu_then_pool_reference_bitwise():
             assert np.array_equal(gb_a, gb_b)
 
         frame = rng.random((1, 3, 3 * size - 5, 4 * size + 3), dtype=np.float32)
-        want_map, _ = _relu_then_pool_walk(m, frame, crop_odd=True)
-        got_map = forward_scores(m, frame, crop_odd=True)
+        want_map, _ = _relu_then_pool_walk(m, frame)
+        got_map = forward_scores(m, frame)
         assert got_map.tobytes() == want_map.tobytes()
 
 

@@ -1,5 +1,8 @@
 """Rank aggregation and the critical-difference comparison."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -209,3 +212,13 @@ def test_rank_plot_shape_and_ink():
     assert (img == 0).any()  # axis and ticks
     assert (img == 160).any()  # interval bars
     assert img[0, 0] == 255
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes over a second to import; only ranking needs it."""
+    code = "import sys, qmiheat; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

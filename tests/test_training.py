@@ -53,8 +53,20 @@ def test_config_validation():
         TrainConfig(loss_kind="focal")
     with pytest.raises(ValueError):
         TrainConfig(variant="rf128")
+    for bad in (
+        dict(seed=-1),
+        dict(momentum=1.0),
+        dict(momentum=-0.1),
+        dict(lr_initial=0.0),
+        dict(lr_initial=-0.1),
+        dict(lr_final=float("nan")),
+        dict(lr_final=float("inf")),
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
     # batch of one is fine once the regularizer is off
     TrainConfig(batch_size=1, eta=0.0)
+    TrainConfig(momentum=0.0, seed=0)
 
 
 def test_config_mapping_round_trip():
@@ -74,6 +86,9 @@ def test_config_mapping_rejects_unknown_key_and_bad_value():
     mapping2["epochs"] = "many"
     with pytest.raises(DataFormatError):
         config_from_mapping(mapping2, source="run.cfg")
+    for key, value in (("lr_initial", "-0.1"), ("lr_final", "nan")):
+        with pytest.raises(DataFormatError, match=f"run.cfg: {key}"):
+            config_from_mapping({key: value}, source="run.cfg")
 
 
 def test_eta_zero_matches_hand_rolled_baseline_loop(tiny_split):
@@ -227,9 +242,11 @@ def test_repeated_experiment_k1_and_forced_seeds(tiny_split):
     assert s1.std == 0.0
     assert s1.mean == s1.max_accuracies[0]
 
-    s_same = repeated_experiment(cfg, train_set, test_set, k=3, seeds=[5, 5, 5])
-    assert s_same.std == 0.0
-    assert len(set(s_same.max_accuracies)) == 1
+    # run i trains with seed cfg.seed + i
+    s3 = repeated_experiment(cfg, train_set, test_set, k=3)
+    for i in range(3):
+        _, history = train(_small_config(epochs=2, batch_size=8, seed=i), train_set, test_set)
+        assert s3.max_accuracies[i] == history.max_test_accuracy
 
 
 def test_repeated_experiment_is_reproducible(tiny_split):
@@ -257,7 +274,7 @@ def test_repeated_experiment_callback_order(tiny_split):
 def test_summary_std_is_population_std(tiny_split):
     train_set, test_set = tiny_split
     cfg = _small_config(epochs=1, batch_size=8)
-    s = repeated_experiment(cfg, train_set, test_set, k=2, seeds=[0, 1])
+    s = repeated_experiment(cfg, train_set, test_set, k=2)
     arr = np.asarray(s.max_accuracies)
     assert s.mean == pytest.approx(float(arr.mean()), abs=0)
     # population convention: sqrt of the mean squared deviation, no n-1
