@@ -72,15 +72,21 @@ def conv2d_forward(x, layer):
     return backend.conv2d_forward(x, layer.kernel, layer.bias, layer.stride, layer.pad)
 
 
-def conv2d_backward(x, layer, grad_out):
-    """Gradients w.r.t. input, kernel and bias given the forward input."""
+def conv2d_backward(x, layer, grad_out, input_grad=True):
+    """Gradients w.r.t. input, kernel and bias given the forward input.
+
+    With ``input_grad`` false the input gradient is returned as None; the
+    numpy backend then does not compute it.
+    """
     x = _as_f32_nchw(x)
     grad_out = _as_f32_nchw(grad_out)
     oh, ow = layer.out_size(x.shape[2], x.shape[3])
     expected = (x.shape[0], layer.out_channels, oh, ow)
     if grad_out.shape != expected:
         raise ValueError(f"grad_out shape {grad_out.shape}, expected {expected}")
-    return backend.conv2d_backward(x, layer.kernel, layer.stride, layer.pad, grad_out)
+    return backend.conv2d_backward(
+        x, layer.kernel, layer.stride, layer.pad, grad_out, input_grad
+    )
 
 
 def maxpool2x2_forward(x):

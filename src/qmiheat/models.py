@@ -246,7 +246,8 @@ def backprop(model, caches, grad_scores, grad_embedding=None):
             g = relu_backward(caches[i + 1][0], g)
         if spec.pool:
             g = maxpool2x2_backward(pool_idx, g)
-        g, gk, gb = conv2d_backward(conv_in, spec.conv, g)
+        # Nothing reads the network input's gradient.
+        g, gk, gb = conv2d_backward(conv_in, spec.conv, g, input_grad=i > 0)
         param_grads[i] = (gk, gb)
     return param_grads
 

@@ -29,7 +29,7 @@ from .models import (
 )
 from .qmi import EmbeddingBatch, batch_potentials, regularizer_gradient, regularizer_loss
 
-_EVAL_BATCH = 256
+_EVAL_BATCH = 64
 
 
 @dataclass

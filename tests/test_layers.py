@@ -86,10 +86,24 @@ def test_forward_rejects_channel_mismatch_and_undersized_input():
 
 def test_conv_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    for stride, pad in [(1, 1), (2, 0), (2, 1)]:
-        x = rng.uniform(-0.5, 0.5, size=(1, 2, 6, 6)).astype(np.float32)
-        wt = rng.uniform(-0.5, 0.5, size=(3, 2, 3, 3)).astype(np.float32)
-        b = rng.uniform(-0.5, 0.5, size=3).astype(np.float32)
+    cases = [
+        ((1, 2, 6, 6), (3, 2, 3, 3), 1, 1),
+        ((1, 2, 6, 6), (3, 2, 3, 3), 2, 0),
+        ((1, 2, 6, 6), (3, 2, 3, 3), 2, 1),
+        # odd frames at stride 2; with the 2x2 kernel the last row and
+        # column fall in no window
+        ((2, 2, 7, 9), (3, 2, 3, 3), 2, 0),
+        ((2, 2, 7, 9), (3, 2, 3, 3), 2, 1),
+        ((2, 2, 7, 9), (3, 2, 2, 2), 2, 0),
+        # the head: a 2x2 input collapsed to one cell
+        ((2, 4, 2, 2), (2, 4, 2, 2), 1, 0),
+        # a pad as wide as the kernel: border outputs see only padding
+        ((1, 2, 4, 5), (3, 2, 1, 1), 1, 1),
+    ]
+    for x_shape, w_shape, stride, pad in cases:
+        x = rng.uniform(-0.5, 0.5, size=x_shape).astype(np.float32)
+        wt = rng.uniform(-0.5, 0.5, size=w_shape).astype(np.float32)
+        b = rng.uniform(-0.5, 0.5, size=w_shape[0]).astype(np.float32)
         layer = _layer(wt, bias=b, stride=stride, pad=pad)
         go = rng.uniform(-1.0, 1.0, size=conv2d_forward(x, layer).shape).astype(np.float32)
 
@@ -107,6 +121,19 @@ def test_conv_gradients_match_finite_differences():
         assert relative_error(gw, central_difference(loss_of_w, wt)) <= 1e-4
         assert relative_error(gx, central_difference(loss_of_x, x)) <= 1e-4
         assert relative_error(gb, central_difference(loss_of_b, b)) <= 1e-4
+
+
+def test_conv_backward_without_input_gradient_returns_none_for_it():
+    rng = np.random.default_rng(11)
+    for stride in (1, 2):
+        x = rng.standard_normal((3, 3, 10, 10)).astype(np.float32)
+        layer = _layer(rng.standard_normal((4, 3, 3, 3)), stride=stride, pad=1)
+        go = rng.standard_normal(conv2d_forward(x, layer).shape).astype(np.float32)
+        gx, gw, gb = conv2d_backward(x, layer, go)
+        none, gw_only, gb_only = conv2d_backward(x, layer, go, input_grad=False)
+        assert gx is not None and none is None
+        assert gw_only.tobytes() == gw.tobytes()
+        assert gb_only.tobytes() == gb.tobytes()
 
 
 def test_backends_agree_bitwise_on_forward_and_backward():
