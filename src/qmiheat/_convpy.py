@@ -2,13 +2,18 @@
 
 Both passes feed patch matrices to float32 matrix products (BLAS sgemm).
 The forward gathers its patches in output-row strips, so the patch buffer
-stays bounded for full-HD frames.  The backward runs only at training
-size and has no strips: it folds the whole batch into one GEMM for the
-kernel gradient and one for the input gradient.  The input gradient is a
-full correlation of the dilated output gradient with the flipped kernel
-(Dumoulin & Visin, arXiv:1603.07285), so it needs no col2im scatter.
-Backward patches are copied from a zero-padded, channel-major buffer in
-which, at stride 1, each kernel tap is one contiguous run per image.
+stays bounded for full-HD frames.  With ``pool`` set it also max-pools
+each strip's product 2x2 while it is still in cache, so full-resolution
+activations are never written out, and adds the bias to the pooled
+quarter.  Bias after max is exact: float rounding is monotone, so
+max(a, c) + b rounds to max(a + b, c + b).  The backward runs only at
+training size and has no strips: it folds the whole batch into one GEMM
+for the kernel gradient and one for the input gradient.  The input
+gradient is a full correlation of the dilated output gradient with the
+flipped kernel (Dumoulin & Visin, arXiv:1603.07285), so it needs no
+col2im scatter.  Backward patches are copied from a zero-padded,
+channel-major buffer in which, at stride 1, each kernel tap is one
+contiguous run per image.
 
 Results are run-to-run deterministic and stay within 1e-5 of the naive
 fixed-loop summation.
@@ -48,22 +53,49 @@ def _gather(xp, kh, kw, stride, r0, r1, ow):
     return cols
 
 
-def conv2d_forward(x, w, b, stride, pad):
+def conv2d_forward(x, w, b, stride, pad, pool=False):
+    """Convolution plus bias; with ``pool``, followed by a 2x2/stride-2
+    max-pool that drops an odd last row and column.
+
+    Pooled, only the cells the pool keeps are computed, in strips of an
+    even number of rows that pool straight into their rows of the output.
+    """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
     oh = _out_dim(h, kh, stride, pad)
     ow = _out_dim(wd, kw, stride, pad)
+    strip = _row_strip(ic * kh * kw, ow, oh)
+    out_hw = (oh, ow)
+    if pool:
+        oh, ow = oh // 2 * 2, ow // 2 * 2
+        strip = max(2, strip // 2 * 2)
+        out_hw = (oh // 2, ow // 2)
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     w_mat = w.reshape(oc, ic * kh * kw)
-    out = np.empty((n, oc, oh, ow), dtype=np.float32)
-    strip = _row_strip(ic * kh * kw, ow, oh)
+    out = np.empty((n, oc, *out_hw), dtype=np.float32)
     for r0 in range(0, oh, strip):
         r1 = min(r0 + strip, oh)
         cols = _gather(xp, kh, kw, stride, r0, r1, ow)
         flat = cols.reshape(n, ic * kh * kw, (r1 - r0) * ow)
-        prod = np.matmul(w_mat, flat)  # (n, oc, rows*ow)
-        out[:, :, r0:r1] = prod.reshape(n, oc, r1 - r0, ow)
+        prod = np.matmul(w_mat, flat).reshape(n, oc, r1 - r0, ow)
+        if pool:
+            maxpool2x2(prod, out[:, :, r0 // 2 : r1 // 2])
+        else:
+            out[:, :, r0:r1] = prod
     out += b.reshape(1, oc, 1, 1)
+    return out
+
+
+def maxpool2x2(x, out):
+    """2x2/stride-2 max of x (n, c, 2*h2, 2*w2) into out (n, c, h2, w2).
+
+    Three strided maxima over the four window views.  On ties between
+    +0.0 and -0.0 the sign of the result is unspecified; every other tie
+    returns the shared value.
+    """
+    np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], out=out)
+    np.maximum(out, x[:, :, 1::2, 0::2], out=out)
+    np.maximum(out, x[:, :, 1::2, 1::2], out=out)
     return out
 
 

@@ -58,10 +58,10 @@ class PackedDataset:
         return self.pixels.shape[1], self.pixels.shape[2]
 
 
-def to_float(dataset):
-    """Pixels as float32 NCHW in [0, 1]; no mean subtraction."""
-    x = dataset.pixels.astype(np.float32) / 255.0
-    return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+def to_float(dataset, idx=None):
+    """Pixels of the samples ``idx`` (all by default) as float32 NCHW in
+    [0, 1]; no mean subtraction."""
+    return _unit_nchw(dataset.pixels if idx is None else dataset.pixels[idx])
 
 
 def image_to_float(pixels):
@@ -69,8 +69,14 @@ def image_to_float(pixels):
     px = np.asarray(pixels, dtype=np.uint8)
     if px.ndim != 3 or px.shape[2] != 3:
         raise ValueError(f"expected an (h, w, 3) image, got {px.shape}")
-    x = px.astype(np.float32) / 255.0
-    return np.ascontiguousarray(x.transpose(2, 0, 1))[None]
+    return _unit_nchw(px[None])
+
+
+def _unit_nchw(px):
+    """uint8 NHWC to float32 NCHW divided by 255, in one pass."""
+    n, h, w, c = px.shape
+    out = np.empty((n, c, h, w), dtype=np.float32)
+    return np.divide(px.transpose(0, 3, 1, 2), np.float32(255), out=out)
 
 
 def write_packed(dataset, path):

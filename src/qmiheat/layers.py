@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
+from ._convpy import maxpool2x2
 
 
 @dataclass
@@ -61,15 +62,22 @@ class ConvLayer:
         return oh, ow
 
 
-def conv2d_forward(x, layer):
-    """Cross-correlation plus bias over an NCHW batch."""
+def conv2d_forward(x, layer, pool=False):
+    """Cross-correlation plus bias over an NCHW batch.
+
+    With ``pool`` the result is max-pooled 2x2/stride 2 in the same call,
+    dropping an odd last row and column; the numpy backend never holds the
+    unpooled output.
+    """
     x = _as_f32_nchw(x)
     if x.shape[1] != layer.in_channels:
         raise ValueError(
             f"input has {x.shape[1]} channels, layer expects {layer.in_channels}"
         )
     layer.out_size(x.shape[2], x.shape[3])
-    return backend.conv2d_forward(x, layer.kernel, layer.bias, layer.stride, layer.pad)
+    return backend.conv2d_forward(
+        x, layer.kernel, layer.bias, layer.stride, layer.pad, pool
+    )
 
 
 def conv2d_backward(x, layer, grad_out, input_grad=True):
@@ -120,18 +128,14 @@ def relu_infer(x):
 def maxpool2x2_infer(x):
     """Pooled output only, without the argmax map backward needs.
 
-    Three strided maxima over the four window views.  On ties between
-    +0.0 and -0.0 the sign of the result is unspecified; every other tie
-    returns the shared value.
+    On ties between +0.0 and -0.0 the sign of the result is unspecified;
+    every other tie returns the shared value.
     """
     x = _as_f32_nchw(x)
-    h, w = x.shape[2], x.shape[3]
+    n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    out = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
-    np.maximum(out, x[:, :, 1::2, 0::2], out=out)
-    np.maximum(out, x[:, :, 1::2, 1::2], out=out)
-    return out
+    return maxpool2x2(x, np.empty((n, c, h // 2, w // 2), dtype=np.float32))
 
 
 def maxpool2x2_backward(idx, grad_out):

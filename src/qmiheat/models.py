@@ -22,7 +22,7 @@ from .layers import (
     conv2d_forward,
     maxpool2x2_backward,
     maxpool2x2_forward,
-    maxpool2x2_infer,
+    maxpool2x2_infer,  # noqa: F401  (the benchmark tracer wraps this name)
     relu_infer,
     relu_backward,
     relu_forward,
@@ -163,20 +163,23 @@ def _crop_even(x):
 def forward_scores(model, x):
     """Full forward pass to the 2-channel score map.
 
-    The spatial dims are cropped to even right before every downsampling
-    step (each pooling, and a strided conv's input), which realizes
-    floor-based geometry on arbitrary frame sizes (remainder pixels drop
-    on the right/bottom).  Without the input crop a padded stride-2 conv
-    on an odd dim would round up instead, minting a grid row whose window
-    starts before the frame.  On even dims the crop is the whole,
-    contiguous array, so training-size inputs pass through unchanged.
+    Each pooled stage is one fused call: the convolution computes only
+    the cells its pool keeps and max-pools them strip by strip, adding the
+    bias after the max, which is exact because float rounding is monotone.
+    The ReLU then runs in place on the pooled quarter.
+
+    Every downsampling step (each pooling, and a strided conv's input)
+    sees even spatial dims, which realizes floor-based geometry on
+    arbitrary frame sizes (remainder pixels drop on the right/bottom).
+    Without the input crop a padded stride-2 conv on an odd dim would
+    round up instead, minting a grid row whose window starts before the
+    frame.  On even dims the crop is the whole, contiguous array, so
+    training-size inputs pass through unchanged.
     """
     for spec in model.layers:
         if spec.conv.stride == 2:
             x = _crop_even(x)
-        x = conv2d_forward(x, spec.conv)
-        if spec.pool:
-            x = maxpool2x2_infer(_crop_even(x))
+        x = conv2d_forward(x, spec.conv, pool=spec.pool)
         if spec.relu:
             x = relu_infer(x)
     return x

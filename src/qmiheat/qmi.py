@@ -16,18 +16,22 @@ All arithmetic here runs in float64 regardless of the input dtype; callers
 embedded in the float32 training path cast the gradient back down.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
-
 @dataclass
 class EmbeddingBatch:
-    """N embeddings (one row each) with binary labels."""
+    """N embeddings (one row each) with binary labels.
+
+    ``similarity`` is the N x N :func:`pairwise_similarity` of the rows,
+    computed once here and read by both the potentials and the gradient.
+    """
 
     y: np.ndarray
     labels: np.ndarray
+    similarity: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.y = np.atleast_2d(np.asarray(self.y, dtype=np.float64))
@@ -39,6 +43,7 @@ class EmbeddingBatch:
         _check_binary(self.labels)
         if not np.all(np.isfinite(self.y)):
             raise ValueError("embeddings must be finite")
+        self.similarity = pairwise_similarity(self.y)
 
     @property
     def n(self):
@@ -71,10 +76,7 @@ def euclidean_similarity(a, b):
 
 
 def pairwise_similarity(y):
-    """N x N Euclidean-similarity matrix over the rows of ``y``.
-
-    Computed once per batch and shared by all three potentials.
-    """
+    """N x N Euclidean-similarity matrix over the rows of ``y``."""
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     return 1.0 / (1.0 + _pairwise_sq_dists(y))
 
@@ -129,8 +131,7 @@ def batch_potentials(batch):
     Works for a mini-batch or for a whole (small) dataset alike; class
     priors are always the in-batch counts.
     """
-    k = pairwise_similarity(batch.y)
-    return information_potentials(k, batch.labels)
+    return information_potentials(batch.similarity, batch.labels)
 
 
 def quadratic_mutual_information(p):
@@ -166,7 +167,7 @@ def regularizer_gradient(batch):
     y = batch.y
     labels = batch.labels
     n = y.shape[0]
-    k = pairwise_similarity(y)
+    k = batch.similarity
     same = (labels[:, None] == labels[None, :]).astype(np.float64)
     j0, j1 = int((labels == 0).sum()), int((labels == 1).sum())
     n2 = float(n) * float(n)

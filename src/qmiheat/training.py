@@ -181,9 +181,7 @@ def train(config, train_set, test_set):
                 f"{name} images are {h}x{w}, {config.variant} trains on "
                 f"{model.window_px}x{model.window_px}"
             )
-    x_train = to_float(train_set)
     y_train = train_set.labels
-    x_test = to_float(test_set)
     n = len(train_set)
     rng = np.random.default_rng(config.seed)
     state = OptimizerState.for_params(
@@ -198,9 +196,10 @@ def train(config, train_set, test_set):
         mi_values = []
         for batch, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
+            x = to_float(train_set, idx)
             try:
                 grads, j_class, j_mi = batch_gradients(
-                    model, x_train[idx], y_train[idx], config.loss_kind, config.eta
+                    model, x, y_train[idx], config.loss_kind, config.eta
                 )
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
@@ -216,7 +215,7 @@ def train(config, train_set, test_set):
         history.epochs.append(epoch)
         history.j_class.append(class_total / n)
         history.j_mi.append(sum(mi_values) / len(mi_values))
-        history.test_accuracy.append(_accuracy(model, x_test, test_set.labels))
+        history.test_accuracy.append(_accuracy(model, test_set))
     return model, history
 
 
@@ -224,16 +223,17 @@ def evaluate(model, dataset):
     """Fraction of samples whose 2-channel argmax matches the label."""
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
-    return _accuracy(model, to_float(dataset), dataset.labels)
+    return _accuracy(model, dataset)
 
 
-def _accuracy(model, x, labels):
+def _accuracy(model, dataset):
     correct = 0
-    for start in range(0, x.shape[0], _EVAL_BATCH):
-        scores = forward_scores(model, x[start : start + _EVAL_BATCH])
+    for start in range(0, len(dataset), _EVAL_BATCH):
+        batch = slice(start, start + _EVAL_BATCH)
+        scores = forward_scores(model, to_float(dataset, batch))
         pred = np.argmax(scores.reshape(scores.shape[0], 2), axis=1)
-        correct += int(np.sum(pred == labels[start : start + _EVAL_BATCH]))
-    return correct / x.shape[0]
+        correct += int(np.sum(pred == dataset.labels[batch]))
+    return correct / len(dataset)
 
 
 def repeated_experiment(config, train_set, test_set, k=5, on_run=None):

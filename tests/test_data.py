@@ -104,6 +104,10 @@ def test_to_float_scales_and_transposes():
     assert x.dtype == np.float32
     assert x.max() <= 1.0 and x.min() >= 0.0
     assert x[1, 2, 3, 4] == pytest.approx(ds.pixels[1, 3, 4, 2] / 255.0)
+    assert x.flags.c_contiguous
+    want = ds.pixels.astype(np.float32).transpose(0, 3, 1, 2) / np.float32(255)
+    assert x.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert to_float(ds, np.array([1])).tobytes() == x[1:].tobytes()
 
 
 def test_image_to_float_single_frame():
@@ -111,6 +115,9 @@ def test_image_to_float_single_frame():
     x = image_to_float(img)
     assert x.shape == (1, 3, 6, 7)
     assert np.allclose(x, 1.0)
+    ds = _toy_dataset(n=1, h=6, w=7)
+    assert image_to_float(ds.pixels[0]).tobytes() == to_float(ds).tobytes()
+    assert image_to_float(ds.pixels[0]).flags.c_contiguous
     with pytest.raises(ValueError):
         image_to_float(np.zeros((6, 7), dtype=np.uint8))
 

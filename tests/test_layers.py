@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import central_difference, conv2d_oracle, relative_error
 
-from qmiheat import _convpy
+from qmiheat import _convpy, backend
 from qmiheat.layers import (
     ConvLayer,
     OptimizerState,
@@ -162,6 +162,14 @@ def test_backends_agree_bitwise_on_forward_and_backward():
         assert np.abs(outs[0] - outs[1]).max() <= 1e-5
         for a, bb in zip(grads[0], grads[1]):
             assert np.abs(a - bb).max() <= 1e-5
+        pooled = [
+            fwd(x, wt, b, 1, 1, pool=True)
+            for fwd in (_convpy.conv2d_forward, backend.conv2d_forward)
+        ]
+        assert pooled[0].shape == pooled[1].shape == (
+            x.shape[0], wt.shape[0], x.shape[2] // 2, x.shape[3] // 2
+        )
+        assert np.abs(pooled[0] - pooled[1]).max() <= 1e-5
 
 
 _CORE_SRC = Path(__file__).resolve().parents[1] / "src" / "qmiheat"
@@ -306,6 +314,35 @@ def test_maxpool_infer_matches_training_forward():
     x = rng.standard_normal((2, 3, 8, 10)).astype(np.float32)
     out, _ = maxpool2x2_forward(x)
     assert np.array_equal(out, maxpool2x2_infer(x))
+
+
+def test_fused_pool_matches_conv_then_pool_bitwise():
+    """conv2d_forward(pool=True) equals the full convolution cropped to
+    even dims and then pooled, byte for byte, including frames gathered in
+    several row strips and outputs too small to keep a pooled row."""
+    rng = np.random.default_rng(17)
+    cases = [
+        ((2, 3, 9, 11), (4, 3, 3, 3), 1, 1),
+        ((2, 3, 9, 11), (4, 3, 3, 3), 2, 1),
+        ((1, 2, 8, 8), (3, 2, 2, 2), 1, 0),
+        ((1, 16, 31, 241), (8, 16, 3, 3), 1, 1),
+        ((1, 3, 57, 1039), (16, 3, 3, 3), 2, 1),
+        ((1, 1, 2, 5), (1, 1, 2, 2), 1, 0),
+    ]
+    for x_shape, k_shape, stride, pad in cases:
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        layer = _layer(
+            rng.standard_normal(k_shape), rng.standard_normal(k_shape[0]), stride, pad
+        )
+        full = conv2d_forward(x, layer)
+        oh, ow = full.shape[2:]
+        want = maxpool2x2_infer(full[:, :, : oh // 2 * 2, : ow // 2 * 2])
+        got = conv2d_forward(x, layer, pool=True)
+        assert got.tobytes() == want.tobytes()
+        assert got.shape == want.shape
+    # Unrounded, the strips of the two wide cases would hold odd row counts.
+    assert _convpy._row_strip(16 * 3 * 3, 240, 30) == 7
+    assert _convpy._row_strip(3 * 3 * 3, 520, 28) == 17
 
 
 def test_maxpool_rejects_odd_dims():

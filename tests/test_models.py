@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import central_difference, relative_error
 
+from qmiheat import _convpy
 from qmiheat.errors import DataFormatError
 from qmiheat.layers import conv2d_backward, conv2d_forward
 from qmiheat.models import (
@@ -282,10 +283,22 @@ def test_pool_then_relu_matches_relu_then_pool_reference_bitwise():
             assert np.array_equal(gk_a, gk_b)
             assert np.array_equal(gb_a, gb_b)
 
-        frame = rng.random((1, 3, 3 * size - 5, 4 * size + 3), dtype=np.float32)
-        want_map, _ = _relu_then_pool_walk(m, frame)
-        got_map = forward_scores(m, frame)
-        assert got_map.tobytes() == want_map.tobytes()
+        # The wide frame has odd conv-output height and width in one of
+        # stages 0 and 1, which both run in several row strips, so the
+        # fused pool meets odd remainders, short last strips and seams.
+        small = rng.random((1, 3, 3 * size - 5, 4 * size + 3), dtype=np.float32)
+        wide = rng.random((1, 3, 71, 1917), dtype=np.float32)
+        for frame in (small, wide):
+            want_map, want_caches = _relu_then_pool_walk(m, frame)
+            got_map = forward_scores(m, frame)
+            assert got_map.tobytes() == want_map.tobytes()
+        odd = False
+        for spec, (_, pre_relu, _) in zip(m.layers[:2], want_caches):
+            _, ic, kh, kw = spec.conv.kernel.shape
+            oh, ow = pre_relu.shape[2:]
+            assert _convpy._row_strip(ic * kh * kw, ow, oh) < oh // 2
+            odd |= oh % 2 == 1 and ow % 2 == 1
+        assert odd
 
 
 def test_embedding_gradient_reaches_features_not_classifier():
