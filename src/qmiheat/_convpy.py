@@ -1,19 +1,21 @@
 """Numpy fallback for the convolution hot kernels.
 
-Both passes feed patch matrices to float32 matrix products (BLAS sgemm).
-The forward gathers its patches in output-row strips, so the patch buffer
-stays bounded for full-HD frames.  With ``pool`` set it also max-pools
-each strip's product 2x2 while it is still in cache, so full-resolution
-activations are never written out, and adds the bias to the pooled
-quarter.  Bias after max is exact: float rounding is monotone, so
-max(a, c) + b rounds to max(a + b, c + b).  The backward runs only at
-training size and has no strips: it folds the whole batch into one GEMM
-for the kernel gradient and one for the input gradient.  The input
-gradient is a full correlation of the dilated output gradient with the
-flipped kernel (Dumoulin & Visin, arXiv:1603.07285), so it needs no
-col2im scatter.  Backward patches are copied from a zero-padded,
-channel-major buffer in which, at stride 1, each kernel tap is one
-contiguous run per image.
+Both passes feed patch matrices to float32 matrix products (BLAS sgemm),
+one chunk at a time: a chunk's patch matrix stays within
+``_STRIP_BUDGET``.  The forward groups whole images into a chunk, or
+gathers one image in output-row strips when its patches alone exceed the
+budget, as for full-HD frames.  With ``pool`` set it also max-pools each
+chunk's product 2x2 while it is still in cache, so full-resolution
+activations are never written out.  The bias is added to each chunk's
+output as it is written; pooled, to the pooled quarter.  Bias after max
+is exact: float rounding is monotone, so max(a, c) + b rounds to
+max(a + b, c + b).  The backward folds each chunk of images into one GEMM
+for the kernel gradient, summed over the chunks, and one for the input
+gradient.  The input gradient is a full correlation of the dilated output
+gradient with the flipped kernel (Dumoulin & Visin, arXiv:1603.07285), so
+it needs no col2im scatter.  Backward patches are copied from a
+zero-padded, channel-major buffer in which, at stride 1, each kernel tap
+is one contiguous run per image.
 
 Results are run-to-run deterministic and stay within 1e-5 of the naive
 fixed-loop summation.
@@ -23,10 +25,12 @@ import numpy as np
 
 NAME = "numpy"
 
-# Patch-buffer budget per strip, in float32 elements (~1 MB at batch 1).
-# At that size malloc serves every strip from reused heap memory; a 32 MB
-# buffer is mapped fresh for each strip, and faulting its zeroed pages in
-# cost a full-frame scan more than its matrix products did.
+# Patch-matrix budget per chunk of images or row strip, in float32
+# elements (~1 MB).  At that size malloc serves every chunk from reused
+# heap memory and the chunk stays in cache.  32 MB strips were mapped
+# fresh each time, and faulting their zeroed pages in cost a full-frame
+# scan more than its matrix products did; with patches for the whole
+# batch at once, a batch-64 training step took about 1.5x as long.
 _STRIP_BUDGET = 250_000
 
 
@@ -37,6 +41,11 @@ def _out_dim(size, k, stride, pad):
 def _row_strip(ckk, ow, oh):
     rows = max(1, _STRIP_BUDGET // max(1, ckk * ow))
     return min(rows, oh)
+
+
+def _image_chunk(per_image, n):
+    """Images per chunk whose patch matrices together fit the budget."""
+    return max(1, min(n, _STRIP_BUDGET // max(1, per_image)))
 
 
 def _gather(xp, kh, kw, stride, r0, r1, ow):
@@ -57,32 +66,59 @@ def conv2d_forward(x, w, b, stride, pad, pool=False):
     """Convolution plus bias; with ``pool``, followed by a 2x2/stride-2
     max-pool that drops an odd last row and column.
 
-    Pooled, only the cells the pool keeps are computed, in strips of an
-    even number of rows that pool straight into their rows of the output.
+    Outputs are computed per chunk of images, or per row strip of one
+    image when an image's patches alone exceed the budget; a strip copies
+    only the input rows it reads into a zero-bordered buffer.  Pooled, only
+    the cells the pool keeps are computed, in strips of an even number of
+    rows that pool straight into their rows of the output.
     """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
+    ckk = ic * kh * kw
     oh = _out_dim(h, kh, stride, pad)
     ow = _out_dim(wd, kw, stride, pad)
-    strip = _row_strip(ic * kh * kw, ow, oh)
+    strip = _row_strip(ckk, ow, oh)
     out_hw = (oh, ow)
     if pool:
         oh, ow = oh // 2 * 2, ow // 2 * 2
         strip = max(2, strip // 2 * 2)
         out_hw = (oh // 2, ow // 2)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    w_mat = w.reshape(oc, ic * kh * kw)
+    whole = strip >= oh
+    if whole:
+        imgs = _image_chunk(ckk * oh * ow, n)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    else:
+        # One image at a time; each strip pads only the input rows it reads.
+        imgs = 1
+        xs = np.zeros((1, c, (strip - 1) * stride + kh, wd + 2 * pad), dtype=np.float32)
+    w_mat = w.reshape(oc, ckk)
+    bias = b.reshape(1, oc, 1, 1)
     out = np.empty((n, oc, *out_hw), dtype=np.float32)
-    for r0 in range(0, oh, strip):
-        r1 = min(r0 + strip, oh)
-        cols = _gather(xp, kh, kw, stride, r0, r1, ow)
-        flat = cols.reshape(n, ic * kh * kw, (r1 - r0) * ow)
-        prod = np.matmul(w_mat, flat).reshape(n, oc, r1 - r0, ow)
-        if pool:
-            maxpool2x2(prod, out[:, :, r0 // 2 : r1 // 2])
-        else:
-            out[:, :, r0:r1] = prod
-    out += b.reshape(1, oc, 1, 1)
+    for i0 in range(0, n, imgs):
+        i1 = min(i0 + imgs, n)
+        for r0 in range(0, oh, strip):
+            r1 = min(r0 + strip, oh)
+            if whole:
+                cols = _gather(xp[i0:i1], kh, kw, stride, r0, r1, ow)
+            else:
+                lo = r0 * stride - pad
+                top, end = max(lo, 0), min(lo + xs.shape[2], h)
+                xs[:, :, : top - lo] = 0
+                xs[:, :, top - lo : end - lo, pad : pad + wd] = x[i0:i1, :, top:end]
+                xs[:, :, end - lo :] = 0
+                cols = _gather(xs, kh, kw, stride, 0, r1 - r0, ow)
+            flat = cols.reshape(i1 - i0, ckk, (r1 - r0) * ow)
+            if pool:
+                dst = out[i0:i1, :, r0 // 2 : r1 // 2]
+                prod = np.matmul(w_mat, flat).reshape(i1 - i0, oc, r1 - r0, ow)
+                maxpool2x2(prod, dst)
+            elif whole:
+                dst = out[i0:i1]
+                np.matmul(w_mat, flat, out=dst.reshape(i1 - i0, oc, oh * ow))
+            else:
+                dst = out[i0:i1, :, r0:r1]
+                dst[...] = np.matmul(w_mat, flat).reshape(i1 - i0, oc, r1 - r0, ow)
+            dst += bias
     return out
 
 
@@ -100,12 +136,37 @@ def maxpool2x2(x, out):
 
 
 def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
-    """Input, kernel and bias gradients as batch-folded GEMMs.
+    """Input, kernel and bias gradients as GEMMs folded over chunks of images.
 
-    Runs only at training size, where one patch matrix for the whole batch
-    takes a few MB, so there are no row strips.  With ``input_grad`` false
-    the input gradient is not computed and is returned as None.
+    Each chunk's kernel-gradient patch matrix fits the budget; the chunk
+    size does not depend on ``input_grad``, so neither do the bytes of the
+    kernel gradient.  With ``input_grad`` false the input gradient is not
+    computed and is returned as None.
     """
+    n, c, h, wd = x.shape
+    oc, ic, kh, kw = w.shape
+    _, _, oh, ow = grad_out.shape
+    width = wd + 2 * pad if stride == 1 else ow  # as in _backward_chunk
+    imgs = _image_chunk(ic * kh * kw * oh * width, n)
+    grad_b = grad_out.sum(axis=(0, 2, 3), dtype=np.float32)
+    grad_w = None
+    grad_x = np.empty_like(x) if input_grad else None
+    for i0 in range(0, n, imgs):
+        i1 = min(i0 + imgs, n)
+        gw, gx = _backward_chunk(x[i0:i1], w, stride, pad, grad_out[i0:i1], input_grad)
+        if grad_w is None:
+            grad_w = gw
+        else:
+            grad_w += gw
+        if input_grad:
+            grad_x[i0:i1] = gx
+    # (K, oc) then transposed: OpenBLAS runs this orientation faster.
+    return grad_x, grad_w.T.copy().reshape(oc, ic, kh, kw), grad_b
+
+
+def _backward_chunk(x, w, stride, pad, grad_out, input_grad):
+    """Kernel gradient as a (K, oc) matrix and the input gradient, or None,
+    of one chunk of images, each from one batch-folded GEMM."""
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
     _, _, oh, ow = grad_out.shape
@@ -115,16 +176,14 @@ def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
     width = wp if stride == 1 else ow
     g = grad_out.transpose(1, 0, 2, 3)  # (oc, n, oh, ow)
 
-    grad_b = grad_out.sum(axis=(0, 2, 3), dtype=np.float32)
     xbuf = _padded_rows(x.transpose(1, 0, 2, 3), hp, wp, pad, pad, 1, stride, kw)
     cols = _wide_patches(xbuf, wp, kh, kw, stride, oh, width)
     g_wide = np.zeros((oc, n, oh, width), dtype=np.float32)
     g_wide[..., :ow] = g
-    # (K, oc) then transposed: OpenBLAS runs this orientation faster.
-    grad_w = np.matmul(cols, g_wide.reshape(oc, -1).T).T.copy().reshape(oc, ic, kh, kw)
+    grad_w = np.matmul(cols, g_wide.reshape(oc, -1).T)
     del cols, g_wide
     if not input_grad:
-        return None, grad_w, grad_b
+        return grad_w, None
 
     # grad_x[i, j] = sum over taps of w[a, b] * g_dilated[i + pad - a, j + pad - b]:
     # a stride-1 correlation of the flipped kernel over g_dilated padded by
@@ -134,7 +193,7 @@ def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
     gcols = _wide_patches(gbuf, gw, kh, kw, 1, h, gw)
     w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ic, oc * kh * kw)
     grad_x = np.matmul(w_flip, gcols).reshape(ic, n, h, gw)[..., :wd]
-    return np.ascontiguousarray(grad_x.transpose(1, 0, 2, 3)), grad_w, grad_b
+    return grad_w, grad_x.transpose(1, 0, 2, 3)
 
 
 def _padded_rows(a, hp, wp, top, left, step, stride, kw):

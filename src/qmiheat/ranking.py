@@ -39,7 +39,7 @@ class ScoreTable:
             raise ValueError("need at least 2 methods to rank")
         if len(self.datasets) < 1:
             raise ValueError("need at least 1 dataset")
-        if s.size and (s.min() < 0.0 or s.max() > 1.0):
+        if not ((s >= 0.0) & (s <= 1.0)).all():
             raise ValueError("scores must lie in [0, 1]")
         self.scores = s
 
@@ -53,13 +53,15 @@ class RankingResult:
 
 
 def average_ranks(table):
-    """Mean over datasets of per-dataset descending ranks (1 = best)."""
-    # Imported here: scipy.stats takes over a second to import, and only
-    # the rank command needs it.
-    from scipy.stats import rankdata
+    """Mean over datasets of per-dataset descending ranks (1 = best).
 
-    ranks = rankdata(-table.scores, method="average", axis=0)
-    return ranks.mean(axis=1)
+    Tied methods share the mean of the ranks they span: a score beaten by
+    g others and tied with e (itself included) ranks g + (e + 1) / 2.
+    """
+    s = table.scores
+    beaten = (s[None, :, :] > s[:, None, :]).sum(axis=1)
+    tied = (s[None, :, :] == s[:, None, :]).sum(axis=1)
+    return (beaten + (tied + 1) / 2.0).mean(axis=1)
 
 
 def critical_difference(m, d, q_alpha):

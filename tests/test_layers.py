@@ -84,7 +84,7 @@ def test_forward_rejects_channel_mismatch_and_undersized_input():
         conv2d_forward(np.zeros((1, 2, 2, 2), dtype=np.float32), layer)
 
 
-def test_conv_gradients_match_finite_differences():
+def test_conv_gradients_match_finite_differences(monkeypatch):
     rng = np.random.default_rng(7)
     cases = [
         ((1, 2, 6, 6), (3, 2, 3, 3), 1, 1),
@@ -99,8 +99,13 @@ def test_conv_gradients_match_finite_differences():
         ((2, 4, 2, 2), (2, 4, 2, 2), 1, 0),
         # a pad as wide as the kernel: border outputs see only padding
         ((1, 2, 4, 5), (3, 2, 1, 1), 1, 1),
+        # under the budget set below, five images in chunks of 2, 2 and 1
+        ((5, 2, 6, 6), (3, 2, 3, 3), 1, 1),
     ]
     for x_shape, w_shape, stride, pad in cases:
+        if x_shape[0] == 5:
+            monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 2 * 18 * 6 * 8)
+            assert _convpy._image_chunk(18 * 6 * 8, 5) == 2
         x = rng.uniform(-0.5, 0.5, size=x_shape).astype(np.float32)
         wt = rng.uniform(-0.5, 0.5, size=w_shape).astype(np.float32)
         b = rng.uniform(-0.5, 0.5, size=w_shape[0]).astype(np.float32)
@@ -125,9 +130,13 @@ def test_conv_gradients_match_finite_differences():
 
 def test_conv_backward_without_input_gradient_returns_none_for_it():
     rng = np.random.default_rng(11)
-    for stride in (1, 2):
-        x = rng.standard_normal((3, 3, 10, 10)).astype(np.float32)
-        layer = _layer(rng.standard_normal((4, 3, 3, 3)), stride=stride, pad=1)
+    # The last case is rf32's stage 1 at batch 64: its kernel-gradient
+    # patches take 144 x 16 x 18 floats per image, so the batch runs in
+    # several chunks with a short last one.
+    assert 64 % _convpy._image_chunk(144 * 16 * 18, 64) != 0
+    for n, c, size, stride in ((3, 3, 10, 1), (3, 3, 10, 2), (64, 16, 16, 1)):
+        x = rng.standard_normal((n, c, size, size)).astype(np.float32)
+        layer = _layer(rng.standard_normal((4, c, 3, 3)), stride=stride, pad=1)
         go = rng.standard_normal(conv2d_forward(x, layer).shape).astype(np.float32)
         gx, gw, gb = conv2d_backward(x, layer, go)
         none, gw_only, gb_only = conv2d_backward(x, layer, go, input_grad=False)
@@ -153,7 +162,15 @@ def test_backends_agree_bitwise_on_forward_and_backward():
         rng.standard_normal(8).astype(np.float32),
     )
     assert _convpy._row_strip(16 * 3 * 3, 200, 24) < 24
-    for x, wt, b in ((x, wt, b), wide):
+    # rf32's stage 1 at batch 64, which numpy runs in several image chunks
+    # with a short last one.
+    batch = (
+        rng.uniform(-0.001, 0.001, (64, 16, 16, 16)).astype(np.float32),
+        rng.uniform(-0.3, 0.3, (16, 16, 3, 3)).astype(np.float32),
+        rng.standard_normal(16).astype(np.float32),
+    )
+    assert 64 % _convpy._image_chunk(16 * 3 * 3 * 16 * 18, 64) != 0
+    for x, wt, b in ((x, wt, b), wide, batch):
         outs, grads = [], []
         for core in (_convpy, _convcore):
             out = core.conv2d_forward(x, wt, b, 1, 1)
@@ -319,15 +336,18 @@ def test_maxpool_infer_matches_training_forward():
 def test_fused_pool_matches_conv_then_pool_bitwise():
     """conv2d_forward(pool=True) equals the full convolution cropped to
     even dims and then pooled, byte for byte, including frames gathered in
-    several row strips and outputs too small to keep a pooled row."""
+    several row strips, batches gathered in several image chunks, and
+    outputs too small to keep a pooled row.  Both equal per-image calls."""
     rng = np.random.default_rng(17)
     cases = [
         ((2, 3, 9, 11), (4, 3, 3, 3), 1, 1),
         ((2, 3, 9, 11), (4, 3, 3, 3), 2, 1),
         ((1, 2, 8, 8), (3, 2, 2, 2), 1, 0),
-        ((1, 16, 31, 241), (8, 16, 3, 3), 1, 1),
+        ((2, 16, 31, 241), (8, 16, 3, 3), 1, 1),
         ((1, 3, 57, 1039), (16, 3, 3, 3), 2, 1),
         ((1, 1, 2, 5), (1, 1, 2, 2), 1, 0),
+        # rf32's stage 1 at batch 64: image chunks with a short last one
+        ((64, 16, 16, 16), (16, 16, 3, 3), 1, 1),
     ]
     for x_shape, k_shape, stride, pad in cases:
         x = rng.standard_normal(x_shape).astype(np.float32)
@@ -340,9 +360,16 @@ def test_fused_pool_matches_conv_then_pool_bitwise():
         got = conv2d_forward(x, layer, pool=True)
         assert got.tobytes() == want.tobytes()
         assert got.shape == want.shape
+        for pool, batch in ((False, full), (True, got)):
+            one_by_one = [conv2d_forward(x[i : i + 1], layer, pool) for i in range(len(x))]
+            assert np.concatenate(one_by_one).tobytes() == batch.tobytes()
     # Unrounded, the strips of the two wide cases would hold odd row counts.
     assert _convpy._row_strip(16 * 3 * 3, 240, 30) == 7
     assert _convpy._row_strip(3 * 3 * 3, 520, 28) == 17
+    # The batch-64 case runs in several image chunks, the last one short,
+    # pooled (16 x 16 outputs) or not.
+    assert _convpy._row_strip(144, 16, 16) == 16
+    assert 64 % _convpy._image_chunk(144 * 16 * 16, 64) != 0
 
 
 def test_maxpool_rejects_odd_dims():

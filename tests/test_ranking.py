@@ -65,6 +65,40 @@ def test_ranks_ignore_monotone_rescaling():
     assert np.array_equal(a, b)
 
 
+def _literal_average_ranks(scores):
+    """Per column: sort descending, number the positions 1..m, and give
+    each score the mean position of all the scores equal to it."""
+    m, d = scores.shape
+    ranks = np.zeros((m, d))
+    for j in range(d):
+        order = sorted(range(m), key=lambda i: -scores[i, j])
+        position = {i: p + 1 for p, i in enumerate(order)}
+        for i in range(m):
+            tied = [position[k] for k in range(m) if scores[k, j] == scores[i, j]]
+            ranks[i, j] = sum(tied) / len(tied)
+    return ranks.mean(axis=1)
+
+
+def test_average_ranks_match_a_literal_loop_on_tie_heavy_tables():
+    rng = np.random.default_rng(21)
+    tables = [
+        # check 6's worked example
+        np.array([[0.9568, 0.8841, 0.9684, 0.9194], [0.9744, 0.8896, 0.9696, 0.9303]]),
+        # every column tied, then one tied column among distinct ones
+        np.full((5, 3), 0.25),
+        np.array([[0.5, 0.1, 0.9], [0.5, 0.2, 0.9], [0.5, 0.3, 0.1], [0.5, 0.3, 0.9]]),
+    ]
+    for _ in range(30):
+        m = int(rng.integers(2, 8))
+        d = int(rng.integers(1, 6))
+        # three distinct values: most columns hold several ties
+        tables.append(rng.integers(0, 3, size=(m, d)) / 2.0)
+    for scores in tables:
+        assert average_ranks(_table(scores)).tolist() == (
+            _literal_average_ranks(scores).tolist()
+        )
+
+
 def test_critical_difference_two_methods_four_datasets():
     assert abs(critical_difference(2, 4, 1.960) - 0.980) <= 1e-12
 
@@ -144,6 +178,8 @@ def test_score_table_validation():
         _table([[1.2], [0.5]])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         _table([[-0.1], [0.5]])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _table([[float("nan")], [0.5]])
 
 
 def test_load_score_table(tmp_path):
@@ -215,10 +251,26 @@ def test_rank_plot_shape_and_ink():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats takes over a second to import; only ranking needs it."""
+    """scipy.stats takes over a second to import, and nothing here needs it."""
     code = "import sys, qmiheat; print('scipy.stats' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_rank_methods_runs_where_scipy_cannot_be_imported():
+    """Ranking needs numpy alone; only the optional compiled core uses scipy."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from qmiheat.ranking import ScoreTable, rank_methods\n"
+        "t = ScoreTable(['a', 'b', 'c'], ['x', 'y'], [[0.5, 0.9], [0.5, 0.1], [0.7, 0.9]])\n"
+        "print(rank_methods(t).mean_ranks.tolist())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[2.0, 2.75, 1.25]\n"
