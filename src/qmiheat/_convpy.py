@@ -1,10 +1,17 @@
 """Numpy fallback for the convolution hot kernels.
 
-Both passes feed patch matrices to float32 matrix products (BLAS sgemm),
-one chunk at a time: a chunk's patch matrix stays within
-``_STRIP_BUDGET``.  The forward groups whole images into a chunk, or
-gathers one image in output-row strips when its patches alone exceed the
-budget, as for full-HD frames.  With ``pool`` set it also max-pools each
+Both passes run on float32 matrix products (BLAS sgemm), one chunk at a
+time.  The forward groups whole images into a chunk whose patch matrix
+stays within ``_STRIP_BUDGET``.  When one image's patches alone exceed
+the budget, as for full-HD frames, it walks the image in bands of output
+rows.  At stride 1 with 16 or more input channels a band runs one GEMM
+per kernel tap on a zero-bordered copy of the input rows it reads, each
+tap's operand a view of that copy (kn2row: Vasudevan, Anderson & Gregg,
+ASAP 2017), so no patch matrix is copied: at 1080p, one BLAS thread,
+rf32's stage 1 went from 84-100 to 58-75 ms.  Fewer channels
+(the 3-channel first stage) or a stride of 2 keep patch-matrix strips:
+with K = 3 per tap, tap GEMMs ran rf32's stage 0 at 1080p in 147-180
+against 97-111 ms.  With ``pool`` set the forward also max-pools each
 chunk's product 2x2 while it is still in cache, so full-resolution
 activations are never written out.  The bias is added to each chunk's
 output as it is written; pooled, to the pooled quarter.  Bias after max
@@ -17,8 +24,8 @@ it needs no col2im scatter.  Backward patches are copied from a
 zero-padded, channel-major buffer in which, at stride 1, each kernel tap
 is one contiguous run per image.
 
-Results are run-to-run deterministic and stay within 1e-5 of the naive
-fixed-loop summation.
+Results are run-to-run deterministic, do not depend on how many images
+share a call, and stay within 1e-5 of the naive fixed-loop summation.
 """
 
 import numpy as np
@@ -32,6 +39,16 @@ NAME = "numpy"
 # scan more than its matrix products did; with patches for the whole
 # batch at once, a batch-64 training step took about 1.5x as long.
 _STRIP_BUDGET = 250_000
+
+# Row strips of stride-1 convolutions with this many input channels or
+# more run as one GEMM per kernel tap.
+_TAP_MIN_CHANNELS = 16
+
+# Accumulator budget per band of the tap path, in float32 elements
+# (128 KB).  rf32's stage 1 at 1080p, one BLAS thread, min of 5 calls:
+# 53-76 ms at 16 K, 32 K and 64 K; 79-101 ms at 128 K; 97-105 ms at
+# _STRIP_BUDGET.
+_TAP_BUDGET = 32_768
 
 
 def _out_dim(size, k, stride, pad):
@@ -68,9 +85,12 @@ def conv2d_forward(x, w, b, stride, pad, pool=False):
 
     Outputs are computed per chunk of images, or per row strip of one
     image when an image's patches alone exceed the budget; a strip copies
-    only the input rows it reads into a zero-bordered buffer.  Pooled, only
-    the cells the pool keeps are computed, in strips of an even number of
-    rows that pool straight into their rows of the output.
+    only the input rows it reads into a zero-bordered buffer.  Strips of a
+    stride-1 convolution with at least ``_TAP_MIN_CHANNELS`` input channels
+    run one GEMM per kernel tap (``_tap_bands``); other strips, and every
+    chunk of whole images, gather a patch matrix for one GEMM.  Pooled,
+    only the cells the pool keeps are computed, in strips of an even
+    number of rows that pool straight into their rows of the output.
     """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
@@ -84,6 +104,9 @@ def conv2d_forward(x, w, b, stride, pad, pool=False):
         strip = max(2, strip // 2 * 2)
         out_hw = (oh // 2, ow // 2)
     whole = strip >= oh
+    out = np.empty((n, oc, *out_hw), dtype=np.float32)
+    if not whole and stride == 1 and ic >= _TAP_MIN_CHANNELS:
+        return _tap_bands(x, w, b, pad, oh, ow, pool, out)
     if whole:
         imgs = _image_chunk(ckk * oh * ow, n)
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
@@ -93,7 +116,6 @@ def conv2d_forward(x, w, b, stride, pad, pool=False):
         xs = np.zeros((1, c, (strip - 1) * stride + kh, wd + 2 * pad), dtype=np.float32)
     w_mat = w.reshape(oc, ckk)
     bias = b.reshape(1, oc, 1, 1)
-    out = np.empty((n, oc, *out_hw), dtype=np.float32)
     for i0 in range(0, n, imgs):
         i1 = min(i0 + imgs, n)
         for r0 in range(0, oh, strip):
@@ -122,17 +144,77 @@ def conv2d_forward(x, w, b, stride, pad, pool=False):
     return out
 
 
-def maxpool2x2(x, out):
-    """2x2/stride-2 max of x (n, c, 2*h2, 2*w2) into out (n, c, h2, w2).
+def _tap_rows(oc, wp, oh, pool):
+    """Output rows per band of the tap path: the band's (oc, rows*wp)
+    accumulator fits _TAP_BUDGET; pooled, an even count of at least 2."""
+    rows = max(1, _TAP_BUDGET // (oc * wp))
+    if pool:
+        rows = max(2, rows // 2 * 2)
+    return min(rows, oh)
 
-    Three strided maxima over the four window views.  On ties between
-    +0.0 and -0.0 the sign of the result is unspecified; every other tie
-    returns the shared value.
+
+def _tap_bands(x, w, b, pad, oh, ow, pool, out):
+    """Stride-1 convolution of one image at a time in bands of output
+    rows, as one GEMM per kernel tap (kn2row) summed into one accumulator.
+
+    A band's input rows sit zero-bordered in one flat (c, rows_in*wp + kw - 1)
+    buffer, wp the padded width.  Output row r, tap (ki, kj) reads the
+    buffer from (r + ki)*wp + kj on, so each tap's operand for the whole
+    band is the run of rows*wp floats at ki*wp + kj: a view, not a copy.
+    The accumulator's columns at or past ow read across the row end and
+    are dropped.
     """
-    np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], out=out)
-    np.maximum(out, x[:, :, 1::2, 0::2], out=out)
-    np.maximum(out, x[:, :, 1::2, 1::2], out=out)
+    n, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    wp = wd + 2 * pad
+    rows = _tap_rows(oc, wp, oh, pool)
+    rows_in = rows + kh - 1
+    buf = np.zeros((c, rows_in * wp + kw - 1), dtype=np.float32)
+    grid = buf[:, : rows_in * wp].reshape(c, rows_in, wp)
+    (t0, off0), *taps = [
+        (np.ascontiguousarray(w[:, :, ki, kj]), ki * wp + kj)
+        for ki in range(kh)
+        for kj in range(kw)
+    ]
+    acc = np.empty((oc, rows * wp), dtype=np.float32)
+    prod = np.empty_like(acc)
+    bias = b.reshape(oc, 1, 1)
+    for i in range(n):
+        for r0 in range(0, oh, rows):
+            m = min(rows, oh - r0)
+            lo = r0 - pad
+            top, end = max(lo, 0), min(lo + m + kh - 1, h)
+            grid[:, : top - lo] = 0
+            grid[:, top - lo : end - lo, pad : pad + wd] = x[i, :, top:end]
+            grid[:, end - lo :] = 0
+            span = m * wp
+            a, p = acc[:, :span], prod[:, :span]
+            np.matmul(t0, buf[:, off0 : off0 + span], out=a)
+            for tap, off in taps:
+                np.matmul(tap, buf[:, off : off + span], out=p)
+                a += p
+            res = a.reshape(oc, m, wp)[:, :, :ow]
+            if pool:
+                dst = maxpool2x2(res, out[i, :, r0 // 2 : (r0 + m) // 2])
+            else:
+                dst = out[i, :, r0 : r0 + m]
+                dst[...] = res
+            dst += bias
     return out
+
+
+def maxpool2x2(x, out):
+    """2x2/stride-2 max of x (..., 2*h2, 2*w2) into out (..., h2, w2).
+
+    The max over row pairs first, whose operands are whole contiguous
+    rows, then over column pairs of that half-size result: two passes
+    instead of three strided ones, about a third faster at rf32's
+    training and 1080p shapes.  On ties
+    between +0.0 and -0.0 the sign of the result is unspecified; every
+    other tie returns the shared value.
+    """
+    rows = np.maximum(x[..., 0::2, :], x[..., 1::2, :])
+    return np.maximum(rows[..., 0::2], rows[..., 1::2], out=out)
 
 
 def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):

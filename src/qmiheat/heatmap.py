@@ -164,6 +164,8 @@ def benchmark_fps(model, height, width, n_frames=5, warmup=1):
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
     rng = np.random.default_rng(0)
     frames = [
         np.ascontiguousarray(

@@ -190,6 +190,12 @@ def test_bench_report_and_output_file(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "fps=" in printed
     assert out_p.read_text() == printed
+    for flag, value, field in (("--frames", "0", "n_frames"), ("--warmup", "-3", "warmup")):
+        code = run_cli(["bench", "--height", "32", "--width", "32", flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{field} must be" in captured.err
+        assert captured.out == ""
 
 
 def test_rank_command(tmp_path, capsys):

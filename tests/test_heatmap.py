@@ -218,6 +218,8 @@ def test_benchmark_fps_small_run():
     assert report.fps == 2 / report.wall_time_s
     with pytest.raises(ValueError):
         benchmark_fps(model, 64, 64, n_frames=0)
+    with pytest.raises(ValueError, match="warmup"):
+        benchmark_fps(model, 64, 64, warmup=-1)
 
 
 def test_heatmap_validates_grid_against_geometry():

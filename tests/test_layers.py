@@ -55,7 +55,7 @@ def test_bias_is_added_per_channel():
     assert np.allclose(out[0, 2], 0.5)
 
 
-def test_forward_matches_loop_reference_across_shapes():
+def test_forward_matches_loop_reference_across_shapes(monkeypatch):
     rng = np.random.default_rng(42)
     for _ in range(100):
         n = int(rng.integers(1, 3))
@@ -72,6 +72,36 @@ def test_forward_matches_loop_reference_across_shapes():
         b = rng.uniform(-0.5, 0.5, size=oc).astype(np.float32)
         got = conv2d_forward(x, _layer(wt, bias=b, stride=stride, pad=pad))
         want = conv2d_oracle(x, wt, b, stride, pad)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-6
+
+    # Frames with 16 and 32 channels too large for one patch matrix run
+    # the stride-1 tap path in row bands, pooled and not.  Under the band
+    # budget set here the 16-channel frame, with odd output height and
+    # width, runs in bands of 4 rows with a short last one; the 32-channel
+    # frame is wide enough for its pooled bands to fall to 2 rows.  The
+    # weights are drawn as build_model draws them, scaled to the fan-in: at
+    # +-0.5 these sums reach 4-5 and their float32 rounding alone passes
+    # 1e-6 (the patch-matrix strips read 1.6e-6 and 3.1e-6 there).
+    monkeypatch.setattr(_convpy, "_TAP_BUDGET", 2 * 119 * 4)
+    assert 15 % 4 == 3 and 15 % 2 == 117 % 2 == 1
+    for n, ic, h, w, rows, pooled_rows in ((1, 16, 15, 117, 4, 4), (2, 32, 8, 150, 3, 2)):
+        x = rng.uniform(-0.5, 0.5, size=(n, ic, h, w)).astype(np.float32)
+        limit = np.sqrt(6.0 / (ic * 9))
+        wt = rng.uniform(-limit, limit, size=(2, ic, 3, 3)).astype(np.float32)
+        b = rng.uniform(-0.5, 0.5, size=2).astype(np.float32)
+        assert ic >= _convpy._TAP_MIN_CHANNELS
+        assert _convpy._row_strip(ic * 9, w, h) < h
+        assert _convpy._tap_rows(2, w + 2, h, False) == rows
+        assert _convpy._tap_rows(2, w + 2, h // 2 * 2, True) == pooled_rows
+        layer = _layer(wt, bias=b, pad=1)
+        want = conv2d_oracle(x, wt, b, 1, 1)
+        got = conv2d_forward(x, layer)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-6
+        oh, ow = h // 2, w // 2
+        want = want[:, :, : 2 * oh, : 2 * ow].reshape(n, 2, oh, 2, ow, 2).max(axis=(3, 5))
+        got = conv2d_forward(x, layer, pool=True)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-6
 
@@ -366,6 +396,12 @@ def test_fused_pool_matches_conv_then_pool_bitwise():
     # Unrounded, the strips of the two wide cases would hold odd row counts.
     assert _convpy._row_strip(16 * 3 * 3, 240, 30) == 7
     assert _convpy._row_strip(3 * 3 * 3, 520, 28) == 17
+    # The 16-channel frame runs the tap path in several bands; the
+    # 3-channel stride-2 frame stays on the patch-matrix strips.
+    assert 16 >= _convpy._TAP_MIN_CHANNELS
+    assert _convpy._tap_rows(8, 243, 30, True) < 30
+    assert _convpy._tap_rows(8, 243, 31, False) < 31
+    assert 3 < _convpy._TAP_MIN_CHANNELS
     # The batch-64 case runs in several image chunks, the last one short,
     # pooled (16 x 16 outputs) or not.
     assert _convpy._row_strip(144, 16, 16) == 16
