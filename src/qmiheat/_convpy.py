@@ -1,28 +1,30 @@
 """Numpy fallback for the convolution hot kernels.
 
 Both passes run on float32 matrix products (BLAS sgemm), one chunk at a
-time.  The forward groups whole images into a chunk whose patch matrix
-stays within ``_STRIP_BUDGET``.  When one image's patches alone exceed
-the budget, as for full-HD frames, it walks the image in bands of output
-rows.  At stride 1 with 16 or more input channels a band runs one GEMM
-per kernel tap on a zero-bordered copy of the input rows it reads, each
-tap's operand a view of that copy (kn2row: Vasudevan, Anderson & Gregg,
-ASAP 2017), so no patch matrix is copied: at 1080p, one BLAS thread,
-rf32's stage 1 went from 84-100 to 58-75 ms.  Fewer channels
-(the 3-channel first stage) or a stride of 2 keep patch-matrix strips:
-with K = 3 per tap, tap GEMMs ran rf32's stage 0 at 1080p in 147-180
-against 97-111 ms.  With ``pool`` set the forward also max-pools each
-chunk's product 2x2 while it is still in cache, so full-resolution
-activations are never written out.  The bias is added to each chunk's
-output as it is written; pooled, to the pooled quarter.  Bias after max
-is exact: float rounding is monotone, so max(a, c) + b rounds to
-max(a + b, c + b).  The backward folds each chunk of images into one GEMM
-for the kernel gradient, summed over the chunks, and one for the input
-gradient.  The input gradient is a full correlation of the dilated output
-gradient with the flipped kernel (Dumoulin & Visin, arXiv:1603.07285), so
-it needs no col2im scatter.  Backward patches are copied from a
-zero-padded, channel-major buffer in which, at stride 1, each kernel tap
-is one contiguous run per image.
+time.  The forward has two loops.  The first groups whole images into a
+chunk whose patch matrix stays within ``_STRIP_BUDGET`` and runs one
+GEMM per chunk.  When one image's patches alone exceed the budget, as
+for full-HD frames, the second walks each image in bands of output rows.
+A band copies the input rows it reads into one zero-bordered buffer.  At
+stride 1 with 16 or more input channels it then runs one GEMM per kernel
+tap, each tap's operand a view of that buffer (kn2row: Vasudevan,
+Anderson & Gregg, ASAP 2017), so no patch matrix is copied: at 1080p,
+one BLAS thread, rf32's stage 1 went from 84-100 to 58-75 ms.  Fewer
+channels (the 3-channel first stage) or a stride of 2 gather a patch
+matrix from the buffer for one GEMM instead: with K = 3 per tap, tap
+GEMMs ran rf32's stage 0 at 1080p in 147-180 against 97-111 ms.  With
+``pool`` set the forward also max-pools each chunk's or band's product
+2x2 while it is still in cache, so full-resolution activations are never
+written out.  The bias is added to each product as it is written;
+pooled, to the pooled quarter.  Bias after max is exact: float rounding
+is monotone, so max(a, c) + b rounds to max(a + b, c + b).  The backward
+folds each chunk of images into one GEMM for the kernel gradient, summed
+over the chunks, and one for the input gradient.  The input gradient is
+a full correlation of the dilated output gradient with the flipped
+kernel (Dumoulin & Visin, arXiv:1603.07285), so it needs no col2im
+scatter.  Backward patches are copied from a zero-padded, channel-major
+buffer in which, at stride 1, each kernel tap is one contiguous run per
+image.
 
 Results are run-to-run deterministic, do not depend on how many images
 share a call, and stay within 1e-5 of the naive fixed-loop summation.
@@ -32,7 +34,7 @@ import numpy as np
 
 NAME = "numpy"
 
-# Patch-matrix budget per chunk of images or row strip, in float32
+# Patch-matrix budget per chunk of images or band of rows, in float32
 # elements (~1 MB).  At that size malloc serves every chunk from reused
 # heap memory and the chunk stays in cache.  32 MB strips were mapped
 # fresh each time, and faulting their zeroed pages in cost a full-frame
@@ -40,8 +42,8 @@ NAME = "numpy"
 # batch at once, a batch-64 training step took about 1.5x as long.
 _STRIP_BUDGET = 250_000
 
-# Row strips of stride-1 convolutions with this many input channels or
-# more run as one GEMM per kernel tap.
+# Bands of stride-1 convolutions with this many input channels or more
+# run as one GEMM per kernel tap.
 _TAP_MIN_CHANNELS = 16
 
 # Accumulator budget per band of the tap path, in float32 elements
@@ -65,16 +67,14 @@ def _image_chunk(per_image, n):
     return max(1, min(n, _STRIP_BUDGET // max(1, per_image)))
 
 
-def _gather(xp, kh, kw, stride, r0, r1, ow):
-    """Patch tensor (n, c, kh, kw, rows, ow) for output rows [r0, r1)."""
+def _gather(xp, kh, kw, stride, rows, ow):
+    """Patch tensor (n, c, kh, kw, rows, ow) for the first ``rows`` output rows."""
     n, c, _, _ = xp.shape
-    rows = r1 - r0
     cols = np.empty((n, c, kh, kw, rows, ow), dtype=np.float32)
     for ki in range(kh):
         for kj in range(kw):
-            i0 = r0 * stride + ki
             cols[:, :, ki, kj] = xp[
-                :, :, i0 : i0 + rows * stride : stride, kj : kj + ow * stride : stride
+                :, :, ki : ki + rows * stride : stride, kj : kj + ow * stride : stride
             ]
     return cols
 
@@ -83,14 +83,11 @@ def conv2d_forward(x, w, b, stride, pad, pool=False):
     """Convolution plus bias; with ``pool``, followed by a 2x2/stride-2
     max-pool that drops an odd last row and column.
 
-    Outputs are computed per chunk of images, or per row strip of one
-    image when an image's patches alone exceed the budget; a strip copies
-    only the input rows it reads into a zero-bordered buffer.  Strips of a
-    stride-1 convolution with at least ``_TAP_MIN_CHANNELS`` input channels
-    run one GEMM per kernel tap (``_tap_bands``); other strips, and every
-    chunk of whole images, gather a patch matrix for one GEMM.  Pooled,
-    only the cells the pool keeps are computed, in strips of an even
-    number of rows that pool straight into their rows of the output.
+    Outputs are computed per chunk of whole images, each gathering one
+    patch matrix for one GEMM.  When one image's patches alone exceed the
+    budget, ``_bands`` walks each image in bands of output rows instead.
+    Pooled, only the cells the pool keeps are computed, and they pool
+    straight into the output.
     """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
@@ -103,44 +100,23 @@ def conv2d_forward(x, w, b, stride, pad, pool=False):
         oh, ow = oh // 2 * 2, ow // 2 * 2
         strip = max(2, strip // 2 * 2)
         out_hw = (oh // 2, ow // 2)
-    whole = strip >= oh
     out = np.empty((n, oc, *out_hw), dtype=np.float32)
-    if not whole and stride == 1 and ic >= _TAP_MIN_CHANNELS:
-        return _tap_bands(x, w, b, pad, oh, ow, pool, out)
-    if whole:
-        imgs = _image_chunk(ckk * oh * ow, n)
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    else:
-        # One image at a time; each strip pads only the input rows it reads.
-        imgs = 1
-        xs = np.zeros((1, c, (strip - 1) * stride + kh, wd + 2 * pad), dtype=np.float32)
+    if strip < oh:
+        return _bands(x, w, b, stride, pad, oh, ow, strip, pool, out)
+    imgs = _image_chunk(ckk * oh * ow, n)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     w_mat = w.reshape(oc, ckk)
     bias = b.reshape(1, oc, 1, 1)
     for i0 in range(0, n, imgs):
         i1 = min(i0 + imgs, n)
-        for r0 in range(0, oh, strip):
-            r1 = min(r0 + strip, oh)
-            if whole:
-                cols = _gather(xp[i0:i1], kh, kw, stride, r0, r1, ow)
-            else:
-                lo = r0 * stride - pad
-                top, end = max(lo, 0), min(lo + xs.shape[2], h)
-                xs[:, :, : top - lo] = 0
-                xs[:, :, top - lo : end - lo, pad : pad + wd] = x[i0:i1, :, top:end]
-                xs[:, :, end - lo :] = 0
-                cols = _gather(xs, kh, kw, stride, 0, r1 - r0, ow)
-            flat = cols.reshape(i1 - i0, ckk, (r1 - r0) * ow)
-            if pool:
-                dst = out[i0:i1, :, r0 // 2 : r1 // 2]
-                prod = np.matmul(w_mat, flat).reshape(i1 - i0, oc, r1 - r0, ow)
-                maxpool2x2(prod, dst)
-            elif whole:
-                dst = out[i0:i1]
-                np.matmul(w_mat, flat, out=dst.reshape(i1 - i0, oc, oh * ow))
-            else:
-                dst = out[i0:i1, :, r0:r1]
-                dst[...] = np.matmul(w_mat, flat).reshape(i1 - i0, oc, r1 - r0, ow)
-            dst += bias
+        cols = _gather(xp[i0:i1], kh, kw, stride, oh, ow)
+        flat = cols.reshape(i1 - i0, ckk, oh * ow)
+        dst = out[i0:i1]
+        if pool:
+            maxpool2x2(np.matmul(w_mat, flat).reshape(i1 - i0, oc, oh, ow), dst)
+        else:
+            np.matmul(w_mat, flat, out=dst.reshape(i1 - i0, oc, oh * ow))
+        dst += bias
     return out
 
 
@@ -153,47 +129,58 @@ def _tap_rows(oc, wp, oh, pool):
     return min(rows, oh)
 
 
-def _tap_bands(x, w, b, pad, oh, ow, pool, out):
-    """Stride-1 convolution of one image at a time in bands of output
-    rows, as one GEMM per kernel tap (kn2row) summed into one accumulator.
+def _bands(x, w, b, stride, pad, oh, ow, strip, pool, out):
+    """Convolution of one image at a time in bands of output rows.
 
     A band's input rows sit zero-bordered in one flat (c, rows_in*wp + kw - 1)
-    buffer, wp the padded width.  Output row r, tap (ki, kj) reads the
-    buffer from (r + ki)*wp + kj on, so each tap's operand for the whole
-    band is the run of rows*wp floats at ki*wp + kj: a view, not a copy.
-    The accumulator's columns at or past ow read across the row end and
-    are dropped.
+    buffer, wp the padded width.  At stride 1 with at least
+    ``_TAP_MIN_CHANNELS`` channels, ``_tap_rows`` rows make a band, run as
+    one GEMM per kernel tap (kn2row) summed into one accumulator: output
+    row r, tap (ki, kj) reads the buffer from (r + ki)*wp + kj on, so each
+    tap's operand for the whole band is the run of rows*wp floats at
+    ki*wp + kj, a view, not a copy.  The accumulator's columns at or past
+    ow read across the row end and are dropped.  Otherwise ``strip`` rows
+    make a band, whose patch matrix is gathered from the buffer's grid for
+    one GEMM.
     """
     n, c, h, wd = x.shape
     oc, _, kh, kw = w.shape
     wp = wd + 2 * pad
-    rows = _tap_rows(oc, wp, oh, pool)
-    rows_in = rows + kh - 1
+    taps = stride == 1 and c >= _TAP_MIN_CHANNELS
+    rows = _tap_rows(oc, wp, oh, pool) if taps else strip
+    rows_in = (rows - 1) * stride + kh
     buf = np.zeros((c, rows_in * wp + kw - 1), dtype=np.float32)
     grid = buf[:, : rows_in * wp].reshape(c, rows_in, wp)
-    (t0, off0), *taps = [
-        (np.ascontiguousarray(w[:, :, ki, kj]), ki * wp + kj)
-        for ki in range(kh)
-        for kj in range(kw)
-    ]
-    acc = np.empty((oc, rows * wp), dtype=np.float32)
-    prod = np.empty_like(acc)
+    if taps:
+        (t0, off0), *rest = [
+            (np.ascontiguousarray(w[:, :, ki, kj]), ki * wp + kj)
+            for ki in range(kh)
+            for kj in range(kw)
+        ]
+        acc = np.empty((oc, rows * wp), dtype=np.float32)
+        prod = np.empty_like(acc)
+    else:
+        w_mat = w.reshape(oc, -1)
     bias = b.reshape(oc, 1, 1)
     for i in range(n):
         for r0 in range(0, oh, rows):
             m = min(rows, oh - r0)
-            lo = r0 - pad
-            top, end = max(lo, 0), min(lo + m + kh - 1, h)
+            lo = r0 * stride - pad
+            top, end = max(lo, 0), min(lo + (m - 1) * stride + kh, h)
             grid[:, : top - lo] = 0
             grid[:, top - lo : end - lo, pad : pad + wd] = x[i, :, top:end]
             grid[:, end - lo :] = 0
-            span = m * wp
-            a, p = acc[:, :span], prod[:, :span]
-            np.matmul(t0, buf[:, off0 : off0 + span], out=a)
-            for tap, off in taps:
-                np.matmul(tap, buf[:, off : off + span], out=p)
-                a += p
-            res = a.reshape(oc, m, wp)[:, :, :ow]
+            if taps:
+                span = m * wp
+                a, p = acc[:, :span], prod[:, :span]
+                np.matmul(t0, buf[:, off0 : off0 + span], out=a)
+                for tap, off in rest:
+                    np.matmul(tap, buf[:, off : off + span], out=p)
+                    a += p
+                res = a.reshape(oc, m, wp)[:, :, :ow]
+            else:
+                cols = _gather(grid[None], kh, kw, stride, m, ow)
+                res = np.matmul(w_mat, cols.reshape(-1, m * ow)).reshape(oc, m, ow)
             if pool:
                 dst = maxpool2x2(res, out[i, :, r0 // 2 : (r0 + m) // 2])
             else:

@@ -164,7 +164,11 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     model = load_model(args.model)
-    acc = evaluate(model, load_packed(args.data))
+    dataset = load_packed(args.data)
+    try:
+        acc = evaluate(model, dataset)
+    except ValueError as exc:
+        raise ValueError(f"{args.data}: {exc}") from None
     print(f"accuracy={acc!r}")
     return 0
 

@@ -67,10 +67,11 @@ def conv2d_forward(x, layer, pool=False):
 
     With ``pool`` the result is max-pooled 2x2/stride 2 in the same call,
     dropping an odd last row and column; the numpy backend never holds the
-    unpooled output.  The numpy backend multiplies patch matrices, except
-    on frames too large for one: there a stride-1 convolution with 16 or
-    more input channels runs one matrix product per kernel tap, which
-    sums in another order (see ``_convpy``).
+    unpooled output.  The numpy backend multiplies patch matrices of whole
+    images, or, on frames too large for one, walks bands of output rows;
+    there a stride-1 convolution with 16 or more input channels runs one
+    matrix product per kernel tap, which sums in another order (see
+    ``_convpy``).
     """
     x = _as_f32_nchw(x)
     if x.shape[1] != layer.in_channels:

@@ -67,8 +67,8 @@ def average_ranks(table):
 def critical_difference(m, d, q_alpha):
     if m < 2 or d < 1:
         raise ValueError("need m >= 2 methods and d >= 1 datasets")
-    if q_alpha < 0:
-        raise ValueError("q_alpha must be non-negative")
+    if not 0 <= q_alpha < math.inf:
+        raise ValueError(f"q_alpha must be finite and non-negative, got {q_alpha}")
     return q_alpha * math.sqrt(m * (m + 1) / (6.0 * d))
 
 

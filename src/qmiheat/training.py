@@ -174,13 +174,8 @@ def train(config, train_set, test_set):
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("datasets must be non-empty")
     model = build_model(config.variant, config.seed)
-    for name, ds in (("train", train_set), ("test", test_set)):
-        h, w = ds.image_hw
-        if (h, w) != (model.window_px, model.window_px):
-            raise ValueError(
-                f"{name} images are {h}x{w}, {config.variant} trains on "
-                f"{model.window_px}x{model.window_px}"
-            )
+    _check_window(model, train_set, "train images")
+    _check_window(model, test_set, "test images")
     y_train = train_set.labels
     n = len(train_set)
     rng = np.random.default_rng(config.seed)
@@ -220,10 +215,21 @@ def train(config, train_set, test_set):
 
 
 def evaluate(model, dataset):
-    """Fraction of samples whose 2-channel argmax matches the label."""
+    """Fraction of samples whose 2-channel argmax matches the label;
+    ValueError if the images are not the model's window."""
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
+    _check_window(model, dataset, "images")
     return _accuracy(model, dataset)
+
+
+def _check_window(model, dataset, what):
+    h, w = dataset.image_hw
+    if (h, w) != (model.window_px, model.window_px):
+        raise ValueError(
+            f"{what} are {h}x{w}, {model.variant} takes "
+            f"{model.window_px}x{model.window_px} windows"
+        )
 
 
 def _accuracy(model, dataset):

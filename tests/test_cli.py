@@ -144,6 +144,25 @@ def test_eval_prints_accuracy(tmp_path, split_files, capsys):
     assert 0.0 <= acc <= 1.0
 
 
+def test_eval_rejects_images_of_another_window(tmp_path, capsys):
+    """rf32 on 64 px images and rf64 on 32 px images exit 1 before any
+    forward pass, naming the data file, its image size, the variant and
+    its window."""
+    for variant, size, window in (("rf32", 64, 32), ("rf64", 32, 64)):
+        model_p = tmp_path / f"{variant}.vggh"
+        save_model(build_model(variant, 0), model_p)
+        data_p = tmp_path / f"set{size}.pids"
+        write_packed(generate_synthetic(SynthSpec(size, 2, 0)), data_p)
+        code = run_cli(["eval", "--model", str(model_p), "--data", str(data_p)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"{data_p}: images are {size}x{size}, {variant} takes "
+            f"{window}x{window} windows" in captured.err
+        )
+
+
 def test_heatmap_command_writes_grid_and_renders(tmp_path, capsys):
     model_p = tmp_path / "m.vggh"
     save_model(build_model("rf32", 2), model_p)
@@ -219,6 +238,16 @@ def test_rank_control_out_of_range_is_usage_error(tmp_path, capsys):
     table_p.write_text("method,a\nx,0.5\ny,0.6\n")
     assert run_cli(["rank", "--table", str(table_p), "--control", "7"]) == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_rank_non_finite_q_alpha_is_usage_error(tmp_path, capsys):
+    table_p = tmp_path / "scores.csv"
+    table_p.write_text("method,a\nx,0.5\ny,0.6\n")
+    for value in ("nan", "inf"):
+        assert run_cli(["rank", "--table", str(table_p), "--q-alpha", value]) == 1
+        captured = capsys.readouterr()
+        assert "q_alpha must be finite" in captured.err
+        assert captured.out == ""
 
 
 def test_non_ascii_byte_in_table_or_config_is_a_data_error(tmp_path, split_files, capsys):

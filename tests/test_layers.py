@@ -94,16 +94,35 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
         assert _convpy._row_strip(ic * 9, w, h) < h
         assert _convpy._tap_rows(2, w + 2, h, False) == rows
         assert _convpy._tap_rows(2, w + 2, h // 2 * 2, True) == pooled_rows
-        layer = _layer(wt, bias=b, pad=1)
-        want = conv2d_oracle(x, wt, b, 1, 1)
-        got = conv2d_forward(x, layer)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-6
-        oh, ow = h // 2, w // 2
-        want = want[:, :, : 2 * oh, : 2 * ow].reshape(n, 2, oh, 2, ow, 2).max(axis=(3, 5))
-        got = conv2d_forward(x, layer, pool=True)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-6
+        _assert_matches_oracle_pooled_and_not(x, wt, b, 1, 1)
+
+    # 3-channel frames too large for one patch matrix run patch-matrix
+    # bands.  Under the budget set here the stride-1 frame runs in bands of
+    # 4 rows with a short last one (pooled: 4, 4, 4, 2), and the stride-2
+    # frame in bands of 7 and 1 (pooled: 6 and 2).
+    monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 27 * 117 * 4)
+    assert _convpy._row_strip(27, 117, 15) == 4
+    assert _convpy._row_strip(27, 59, 8) == 7
+    x = rng.uniform(-0.5, 0.5, size=(2, 3, 15, 117)).astype(np.float32)
+    limit = np.sqrt(6.0 / 27)
+    wt = rng.uniform(-limit, limit, size=(2, 3, 3, 3)).astype(np.float32)
+    b = rng.uniform(-0.5, 0.5, size=2).astype(np.float32)
+    assert 3 < _convpy._TAP_MIN_CHANNELS
+    for stride in (1, 2):
+        _assert_matches_oracle_pooled_and_not(x, wt, b, stride, 1)
+
+
+def _assert_matches_oracle_pooled_and_not(x, wt, b, stride, pad):
+    layer = _layer(wt, bias=b, stride=stride, pad=pad)
+    want = conv2d_oracle(x, wt, b, stride, pad)
+    got = conv2d_forward(x, layer)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-6
+    n, oc, oh, ow = want.shape[0], want.shape[1], want.shape[2] // 2, want.shape[3] // 2
+    want = want[:, :, : 2 * oh, : 2 * ow].reshape(n, oc, oh, 2, ow, 2).max(axis=(3, 5))
+    got = conv2d_forward(x, layer, pool=True)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-6
 
 
 def test_forward_rejects_channel_mismatch_and_undersized_input():
@@ -375,6 +394,8 @@ def test_fused_pool_matches_conv_then_pool_bitwise():
         ((1, 2, 8, 8), (3, 2, 2, 2), 1, 0),
         ((2, 16, 31, 241), (8, 16, 3, 3), 1, 1),
         ((1, 3, 57, 1039), (16, 3, 3, 3), 2, 1),
+        # rf32's stage 0 at 1080p: patch-matrix bands at stride 1, batch 2
+        ((2, 3, 23, 1101), (16, 3, 3, 3), 1, 1),
         ((1, 1, 2, 5), (1, 1, 2, 2), 1, 0),
         # rf32's stage 1 at batch 64: image chunks with a short last one
         ((64, 16, 16, 16), (16, 16, 3, 3), 1, 1),
@@ -397,11 +418,13 @@ def test_fused_pool_matches_conv_then_pool_bitwise():
     assert _convpy._row_strip(16 * 3 * 3, 240, 30) == 7
     assert _convpy._row_strip(3 * 3 * 3, 520, 28) == 17
     # The 16-channel frame runs the tap path in several bands; the
-    # 3-channel stride-2 frame stays on the patch-matrix strips.
+    # 3-channel frames, at stride 2 and at stride 1, run patch-matrix
+    # bands, the stride-1 one with a short last band, pooled or not.
     assert 16 >= _convpy._TAP_MIN_CHANNELS
     assert _convpy._tap_rows(8, 243, 30, True) < 30
     assert _convpy._tap_rows(8, 243, 31, False) < 31
     assert 3 < _convpy._TAP_MIN_CHANNELS
+    assert _convpy._row_strip(27, 1101, 23) == 8
     # The batch-64 case runs in several image chunks, the last one short,
     # pooled (16 x 16 outputs) or not.
     assert _convpy._row_strip(144, 16, 16) == 16

@@ -115,8 +115,9 @@ def test_critical_difference_rejects_degenerate_input():
         critical_difference(1, 4, 1.960)
     with pytest.raises(ValueError):
         critical_difference(2, 0, 1.960)
-    with pytest.raises(ValueError):
-        critical_difference(2, 4, -1.0)
+    for q_alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            critical_difference(2, 4, q_alpha)
 
 
 def test_significance_gap_rule():
