@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 training
 diverged.  Unreadable or malformed files exit 2, as do
 training-configuration values out of range (whether they came from flags
-or a config file); any other bad invocation exits 1.  A training run
-that meets non-finite scores or parameters stops and exits 3, naming the
-epoch and batch.
+or a config file); any other bad invocation exits 1, including a size
+too large to allocate.  A training run that meets non-finite scores or
+parameters stops and exits 3, naming the epoch and batch.
 """
 
 import argparse
@@ -34,6 +34,7 @@ from .models import VARIANTS, build_model, load_model, save_model
 from .ranking import DEFAULT_Q, format_report, load_score_table, rank_methods, render_rank_plot
 from .training import (
     config_from_mapping,
+    config_keys,
     config_to_mapping,
     evaluate,
     repeated_experiment,
@@ -69,7 +70,7 @@ def _build_parser():
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--loss", choices=("hinge", "ce"))
     p.add_argument("--eta", type=float)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--lr-initial", type=float)
@@ -120,18 +121,8 @@ def _train_config(args):
     if args.config:
         mapping.update(load_config(args.config))
         sources.append(args.config)
-    flag_keys = (
-        ("variant", args.variant),
-        ("loss", args.loss),
-        ("eta", args.eta),
-        ("batch_size", args.batch),
-        ("epochs", args.epochs),
-        ("seed", args.seed),
-        ("lr_initial", args.lr_initial),
-        ("lr_final", args.lr_final),
-        ("momentum", args.momentum),
-    )
-    flags = {key: value for key, value in flag_keys if value is not None}
+    values = vars(args)
+    flags = {key: values[key] for key in config_keys() if values[key] is not None}
     if flags or not sources:
         sources.append("command line")
     mapping.update(flags)
@@ -246,7 +237,7 @@ def run_cli(argv):
     except OSError as exc:
         print(f"qmiheat: data error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"qmiheat: error: {exc}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:

@@ -255,17 +255,6 @@ def backprop(model, caches, grad_scores, grad_embedding=None):
     return param_grads
 
 
-def embedding_dim(model):
-    """Flattened embedding width for training-size input (128 for both
-    variants under the default channel widths)."""
-    size = model.window_px
-    for spec in model.layers[:-1]:
-        size = (size + 2 * spec.conv.pad - spec.conv.kernel.shape[2]) // spec.conv.stride + 1
-        if spec.pool:
-            size //= 2
-    return size * size * model.layers[-2].conv.out_channels
-
-
 def save_model(model, path):
     """Flat binary serialization; round-trips bit-exactly.
 

@@ -9,7 +9,7 @@ the regularizer.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -74,37 +74,32 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-_CONFIG_KEYS = (
-    ("variant", str),
-    ("loss", str),
-    ("eta", float),
-    ("batch_size", int),
-    ("epochs", int),
-    ("lr_initial", float),
-    ("lr_final", float),
-    ("momentum", float),
-    ("seed", int),
-)
-_FIELD_OF_KEY = {"loss": "loss_kind"}
+_KEY_OF_FIELD = {"loss_kind": "loss"}
+
+
+def config_keys():
+    """The config-file key of every TrainConfig field, in field order."""
+    return [_KEY_OF_FIELD.get(f.name, f.name) for f in fields(TrainConfig)]
 
 
 def config_to_mapping(config):
     return {
-        key: getattr(config, _FIELD_OF_KEY.get(key, key)) for key, _ in _CONFIG_KEYS
+        key: getattr(config, f.name)
+        for key, f in zip(config_keys(), fields(TrainConfig))
     }
 
 
 def config_from_mapping(mapping, source="<config>"):
-    known = {key for key, _ in _CONFIG_KEYS}
+    keys = config_keys()
     for key in mapping:
-        if key not in known:
+        if key not in keys:
             raise DataFormatError(f"{source}: unknown option {key!r}")
     kwargs = {}
-    for key, conv in _CONFIG_KEYS:
+    for key, f in zip(keys, fields(TrainConfig)):
         if key not in mapping:
             continue
         try:
-            kwargs[_FIELD_OF_KEY.get(key, key)] = conv(mapping[key])
+            kwargs[f.name] = f.type(mapping[key])
         except ValueError:
             raise DataFormatError(
                 f"{source}: bad value {mapping[key]!r} for {key}"
@@ -253,7 +248,7 @@ def repeated_experiment(config, train_set, test_set, k=5, on_run=None):
         raise ValueError("k must be >= 1")
     maxima = []
     for i in range(k):
-        run_config = TrainConfig(**{**config.__dict__, "seed": config.seed + i})
+        run_config = replace(config, seed=config.seed + i)
         model, history = train(run_config, train_set, test_set)
         maxima.append(history.max_test_accuracy)
         if on_run is not None:

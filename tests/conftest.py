@@ -8,6 +8,9 @@ them, never the other way around.
 import numpy as np
 import pytest
 
+from qmiheat.losses import CROSS_ENTROPY
+from qmiheat.training import TrainConfig
+
 # Verdict lines pushed by test_acceptance; replayed after the run so they
 # survive output capture and land at the bottom of every report.
 ACCEPTANCE_VERDICTS = []
@@ -18,6 +21,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance scorecard")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+# A training configuration with every field away from its default.
+NON_DEFAULT_CONFIG = TrainConfig(
+    variant="rf64",
+    loss_kind=CROSS_ENTROPY,
+    eta=0.25,
+    batch_size=32,
+    epochs=7,
+    lr_initial=0.005,
+    lr_final=2e-05,
+    momentum=0.5,
+    seed=3,
+)
 
 
 def conv2d_oracle(x, w, b, stride, pad):

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior, mostly in-process via run_cli."""
 
+import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import NON_DEFAULT_CONFIG
 
-from qmiheat.cli import run_cli
+import qmiheat
+from qmiheat.cli import _build_parser, _train_config, run_cli
 from qmiheat.config import load_config
 from qmiheat.data import (
     SynthSpec,
@@ -17,7 +21,7 @@ from qmiheat.data import (
     write_ppm,
 )
 from qmiheat.models import build_model, load_model, save_model
-from qmiheat.training import load_history
+from qmiheat.training import TrainConfig, load_history
 
 
 def _pgm_dims(path):
@@ -105,6 +109,28 @@ def test_train_flags_override_config_file(tmp_path, split_files):
     assert saved["epochs"] == "1"  # flag wins
     assert saved["batch_size"] == "8"  # file setting survives
     assert saved["eta"] == "0.0"
+
+
+def test_every_config_field_round_trips_through_its_train_flag():
+    flags = {
+        "variant": "--variant",
+        "loss_kind": "--loss",
+        "eta": "--eta",
+        "batch_size": "--batch",
+        "epochs": "--epochs",
+        "lr_initial": "--lr-initial",
+        "lr_final": "--lr-final",
+        "momentum": "--momentum",
+        "seed": "--seed",
+    }
+    assert list(flags) == [f.name for f in fields(TrainConfig)]
+    parser = _build_parser()
+    for name, flag in flags.items():
+        value = getattr(NON_DEFAULT_CONFIG, name)
+        args = parser.parse_args(
+            ["train", "--train", "a", "--test", "b", "--out-dir", "c", flag, str(value)]
+        )
+        assert getattr(_train_config(args), name) == value
 
 
 def test_train_determinism_across_invocations(tmp_path, split_files):
@@ -394,6 +420,19 @@ def test_out_of_range_config_file_value_is_a_data_error(tmp_path, split_files, c
         assert f"data error: {config_p} and command line: {field}" in err
 
 
+def test_sizes_too_large_to_allocate_are_usage_errors(tmp_path, capsys):
+    # Both sizes exceed a 128 TiB address space, so nothing is allocated.
+    out = tmp_path / "x.pids"
+    for argv in (
+        ["bench", "--width", "100000000", "--height", "100000000"],
+        ["synth", "--out", str(out), "--per-class", "10000000000000"],
+    ):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qmiheat: error: Unable to allocate")
+    assert not out.exists()
+
+
 def test_zero_runs_is_a_usage_error(tmp_path, split_files, capsys):
     train_p, test_p = split_files
     code = run_cli(
@@ -418,10 +457,14 @@ def test_unknown_flags_exit_1(capsys):
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     out = tmp_path / "tiny.pids"
+    # The child imports the same package as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(qmiheat.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qmiheat", "synth", "--out", str(out), "--per-class", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert load_packed(out).pixels.shape == (2, 32, 32, 3)

@@ -194,7 +194,7 @@ def test_conv_backward_without_input_gradient_returns_none_for_it():
         assert gb_only.tobytes() == gb.tobytes()
 
 
-def test_backends_agree_bitwise_on_forward_and_backward():
+def test_backends_agree_within_1e_5_on_forward_and_backward():
     try:
         from qmiheat import _convcore
     except ImportError:

@@ -1,8 +1,12 @@
 """Training loop, experiment protocol, run records."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from conftest import NON_DEFAULT_CONFIG
 
+from qmiheat.config import parse_config, serialize_config
 from qmiheat.data import SynthSpec, generate_synthetic, generate_synthetic_split, to_float
 from qmiheat.errors import DataFormatError, TrainingDivergedError
 from qmiheat.losses import CROSS_ENTROPY, HINGE
@@ -70,10 +74,15 @@ def test_config_validation():
 
 
 def test_config_mapping_round_trip():
-    cfg = TrainConfig(variant="rf64", loss_kind=CROSS_ENTROPY, eta=0.01, epochs=7)
-    mapping = config_to_mapping(cfg)
-    back = config_from_mapping(mapping)
-    assert back == cfg
+    default = TrainConfig()
+    for f in fields(TrainConfig):
+        assert getattr(NON_DEFAULT_CONFIG, f.name) != getattr(default, f.name)
+    text = serialize_config(config_to_mapping(NON_DEFAULT_CONFIG))
+    assert text == (
+        "variant=rf64\nloss=ce\neta=0.25\nbatch_size=32\nepochs=7\n"
+        "lr_initial=0.005\nlr_final=2e-05\nmomentum=0.5\nseed=3\n"
+    )
+    assert config_from_mapping(parse_config(text)) == NON_DEFAULT_CONFIG
 
 
 def test_config_mapping_rejects_unknown_key_and_bad_value():
@@ -86,6 +95,9 @@ def test_config_mapping_rejects_unknown_key_and_bad_value():
     mapping2["epochs"] = "many"
     with pytest.raises(DataFormatError):
         config_from_mapping(mapping2, source="run.cfg")
+    # every key is checked before any value is converted
+    with pytest.raises(DataFormatError, match="unknown option 'turbo'"):
+        config_from_mapping({"epochs": "many", "turbo": "yes"}, source="run.cfg")
     for key, value in (("lr_initial", "-0.1"), ("lr_final", "nan")):
         with pytest.raises(DataFormatError, match=f"run.cfg: {key}"):
             config_from_mapping({key: value}, source="run.cfg")
