@@ -33,6 +33,7 @@ from .heatmap import (
 from .models import VARIANTS, build_model, load_model, save_model
 from .ranking import DEFAULT_Q, format_report, load_score_table, rank_methods, render_rank_plot
 from .training import (
+    check_window,
     config_from_mapping,
     config_keys,
     config_to_mapping,
@@ -135,6 +136,8 @@ def _cmd_train(args):
     config = _train_config(args)
     train_set = load_packed(args.train_path)
     test_set = load_packed(args.test_path)
+    check_window(config.variant, train_set, f"{args.train_path}: images")
+    check_window(config.variant, test_set, f"{args.test_path}: images")
     os.makedirs(args.out_dir, exist_ok=True)
 
     def save_run(i, model, history):
@@ -167,7 +170,10 @@ def _cmd_eval(args):
 def _cmd_heatmap(args):
     model = load_model(args.model)
     pixels = read_ppm(args.image)
-    hm = fully_conv_inference(model, pixels)
+    try:
+        hm = fully_conv_inference(model, pixels)
+    except ValueError as exc:
+        raise ValueError(f"{args.image}: {exc}") from None
     write_heatmap(hm, args.out)
     if args.render:
         write_pgm(render_heatmap(hm), args.render)

@@ -1,11 +1,13 @@
 """Whole-frame inference, heatmap rendering, and throughput benchmarks.
 
-Full-image inference applies the conv/pool stack once per frame; the
-sliding-window oracle literally crops every stride-aligned window and
-runs the training-size forward pass.  Padded convolutions make the two
-differ wherever a window has real neighboring pixels, so full-image
-semantics are canonical for heatmaps and the oracle pins the
-weight-sharing arithmetic under constructed zero context.
+Both scans take one uint8 (h, w, 3) frame, as read from a PPM, and
+convert it to float themselves.  Full-image inference applies the
+conv/pool stack once per frame; the sliding-window oracle literally
+crops every stride-aligned window and runs the training-size forward
+pass.  Padded convolutions make the two differ wherever a window has
+real neighboring pixels, so full-image semantics are canonical for
+heatmaps and the oracle pins the weight-sharing arithmetic under
+constructed zero context.
 """
 
 import time
@@ -17,7 +19,7 @@ from .backend import active_backend
 from .config import serialize_config
 from .data import image_to_float
 from .errors import DataFormatError
-from .models import VARIANTS, forward_scores, output_geometry
+from .models import STRIDE_PX, VARIANTS, WINDOW_PX, forward_scores, output_geometry
 
 _HMAP_MAGIC = "HMAP"
 
@@ -27,13 +29,12 @@ class Heatmap:
     """Grid of 2-channel window scores over a source image.
 
     grid[i, j] scores the window at pixel offset (i*stride, j*stride);
-    channel 0 is the negative class, channel 1 the positive class.
+    channel 0 is the negative class, channel 1 the positive class.  The
+    stride and window follow from the variant.
     """
 
     grid: np.ndarray
     variant: str
-    stride_px: int
-    window_px: int
     source_h: int
     source_w: int
 
@@ -42,17 +43,20 @@ class Heatmap:
         if g.ndim != 3 or g.shape[2] != 2:
             raise ValueError(f"grid must be (gh, gw, 2), got {g.shape}")
         geo = output_geometry(self.variant, self.source_h, self.source_w)
-        if (self.stride_px, self.window_px) != (geo.stride_px, geo.window_px):
-            raise ValueError(
-                f"stride {self.stride_px}px / window {self.window_px}px do not "
-                f"match {self.variant} ({geo.stride_px}px / {geo.window_px}px)"
-            )
         if (geo.grid_h, geo.grid_w) != g.shape[:2]:
             raise ValueError(
                 f"grid {g.shape[:2]} does not match geometry "
                 f"({geo.grid_h}, {geo.grid_w}) for {self.source_h}x{self.source_w}"
             )
         self.grid = g
+
+    @property
+    def stride_px(self):
+        return STRIDE_PX[self.variant]
+
+    @property
+    def window_px(self):
+        return WINDOW_PX[self.variant]
 
 
 @dataclass
@@ -71,37 +75,20 @@ class BenchReport:
         return self.frames / self.wall_time_s
 
 
-def _as_batch(image):
-    if isinstance(image, np.ndarray) and image.ndim == 4:
-        return np.ascontiguousarray(image, dtype=np.float32)
-    return image_to_float(image)
-
-
 def fully_conv_inference(model, image):
-    """One pass of the whole stack over the full frame."""
-    x = _as_batch(image)
+    """One pass of the whole stack over a uint8 (h, w, 3) frame."""
+    x = image_to_float(image)
     h, w = x.shape[2], x.shape[3]
-    geo = output_geometry(model.variant, h, w)
+    output_geometry(model.variant, h, w)  # rejects frames smaller than the window
     scores = forward_scores(model, x)
     grid = scores[0].transpose(1, 2, 0)
-    if grid.shape[:2] != (geo.grid_h, geo.grid_w):
-        raise AssertionError(
-            f"stack produced {grid.shape[:2]}, geometry predicts "
-            f"({geo.grid_h}, {geo.grid_w})"
-        )
-    return Heatmap(
-        grid=grid,
-        variant=model.variant,
-        stride_px=geo.stride_px,
-        window_px=geo.window_px,
-        source_h=h,
-        source_w=w,
-    )
+    return Heatmap(grid=grid, variant=model.variant, source_h=h, source_w=w)
 
 
 def sliding_window_oracle(model, image):
-    """Reference semantics: run each stride-aligned window separately."""
-    x = _as_batch(image)
+    """Reference semantics: run each stride-aligned window of a uint8
+    (h, w, 3) frame separately."""
+    x = image_to_float(image)
     h, w = x.shape[2], x.shape[3]
     geo = output_geometry(model.variant, h, w)
     s, win = geo.stride_px, geo.window_px
@@ -110,14 +97,7 @@ def sliding_window_oracle(model, image):
         for j in range(geo.grid_w):
             window = x[:, :, i * s : i * s + win, j * s : j * s + win]
             grid[i, j] = forward_scores(model, window).reshape(2)
-    return Heatmap(
-        grid=grid,
-        variant=model.variant,
-        stride_px=s,
-        window_px=win,
-        source_h=h,
-        source_w=w,
-    )
+    return Heatmap(grid=grid, variant=model.variant, source_h=h, source_w=w)
 
 
 def heatmap_values(heatmap):
@@ -158,9 +138,10 @@ def render_overlay(heatmap, source_pixels):
 
 
 def benchmark_fps(model, height, width, n_frames=5, warmup=1):
-    """fps of full-frame inference on synthetic noise frames.
+    """fps of full-frame inference on synthetic uint8 noise frames.
 
-    Frames are pre-generated from a fixed seed so only inference is timed.
+    Frames are pre-generated from a fixed seed, so the timed part is what
+    every real frame pays: the uint8-to-float conversion and the scan.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -168,9 +149,7 @@ def benchmark_fps(model, height, width, n_frames=5, warmup=1):
         raise ValueError("warmup must be >= 0")
     rng = np.random.default_rng(0)
     frames = [
-        np.ascontiguousarray(
-            rng.random((1, 3, height, width), dtype=np.float32)
-        )
+        rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
         for _ in range(min(n_frames, 4))
     ]
     for i in range(warmup):
@@ -243,15 +222,15 @@ def load_heatmap(path):
         raise DataFormatError(
             f"{path}: grid payload is {len(blob) - nl} bytes, expected {need}"
         )
+    if (stride, window) != (STRIDE_PX[variant], WINDOW_PX[variant]):
+        raise DataFormatError(
+            f"{path}: stride {stride}px / window {window}px do not match "
+            f"{variant} ({STRIDE_PX[variant]}px / {WINDOW_PX[variant]}px)"
+        )
     grid = np.frombuffer(blob, dtype="<f4", offset=nl).reshape(gh, gw, 2)
     try:
         return Heatmap(
-            grid=grid.copy(),
-            variant=variant,
-            stride_px=stride,
-            window_px=window,
-            source_h=src_h,
-            source_w=src_w,
+            grid=grid.copy(), variant=variant, source_h=src_h, source_w=src_w
         )
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None

@@ -35,8 +35,8 @@ VARIANTS = (RF32, RF64)
 # Channel widths of the four feature convolutions (quartered VGG-16 front).
 CHANNELS = (16, 16, 32, 32)
 
-_WINDOW = {RF32: 32, RF64: 64}
-_STRIDE = {RF32: 16, RF64: 32}
+WINDOW_PX = {RF32: 32, RF64: 64}
+STRIDE_PX = {RF32: 16, RF64: 32}
 _FIRST_CONV_STRIDE = {RF32: 1, RF64: 2}
 _FORMAT_VERSION = 1
 
@@ -65,11 +65,11 @@ class NetworkSpec:
 
     @property
     def window_px(self):
-        return _WINDOW[self.variant]
+        return WINDOW_PX[self.variant]
 
     @property
     def stride_px(self):
-        return _STRIDE[self.variant]
+        return STRIDE_PX[self.variant]
 
 
 @dataclass
@@ -134,16 +134,12 @@ def parameters(model):
     return out
 
 
-def parameter_count(model):
-    return sum(p.size for p in parameters(model))
-
-
 def output_geometry(variant, input_h, input_w):
     """Heatmap grid produced by sliding the window over an input frame."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    window = _WINDOW[variant]
-    stride = _STRIDE[variant]
+    window = WINDOW_PX[variant]
+    stride = STRIDE_PX[variant]
     if input_h < window or input_w < window:
         raise ValueError(
             f"input {input_h}x{input_w} smaller than the {window}px window"

@@ -21,6 +21,7 @@ from .losses import CROSS_ENTROPY, DEFAULT_ETA, HINGE, LOSSES
 from .models import (
     RF32,
     VARIANTS,
+    WINDOW_PX,
     backprop,
     build_model,
     forward_scores,
@@ -168,9 +169,9 @@ def train(config, train_set, test_set):
     """
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("datasets must be non-empty")
+    check_window(config.variant, train_set, "train images")
+    check_window(config.variant, test_set, "test images")
     model = build_model(config.variant, config.seed)
-    _check_window(model, train_set, "train images")
-    _check_window(model, test_set, "test images")
     y_train = train_set.labels
     n = len(train_set)
     rng = np.random.default_rng(config.seed)
@@ -214,16 +215,18 @@ def evaluate(model, dataset):
     ValueError if the images are not the model's window."""
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
-    _check_window(model, dataset, "images")
+    check_window(model.variant, dataset, "images")
     return _accuracy(model, dataset)
 
 
-def _check_window(model, dataset, what):
+def check_window(variant, dataset, what):
+    """ValueError, led by ``what``, unless the dataset's images are the
+    variant's training window."""
     h, w = dataset.image_hw
-    if (h, w) != (model.window_px, model.window_px):
+    window = WINDOW_PX[variant]
+    if (h, w) != (window, window):
         raise ValueError(
-            f"{what} are {h}x{w}, {model.variant} takes "
-            f"{model.window_px}x{model.window_px} windows"
+            f"{what} are {h}x{w}, {variant} takes {window}x{window} windows"
         )
 
 
@@ -268,23 +271,6 @@ def write_history(history, path):
                 f"{history.epochs[i]},{float(history.j_class[i])!r},"
                 f"{float(history.j_mi[i])!r},{float(history.test_accuracy[i])!r}\n"
             )
-
-
-def load_history(path):
-    history = RunHistory()
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "epoch,j_class,j_mi,test_accuracy":
-            raise DataFormatError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields")
-            history.epochs.append(int(parts[0]))
-            history.j_class.append(float(parts[1]))
-            history.j_mi.append(float(parts[2]))
-            history.test_accuracy.append(float(parts[3]))
-    return history
 
 
 def write_summary(summary, path):

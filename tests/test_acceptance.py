@@ -389,6 +389,9 @@ def test_accept_8_bench_stability():
 
 
 def test_accept_9_training_is_byte_deterministic(tmp_path):
+    """Two identical train invocations in one process, and so at a fixed
+    BLAS thread count, write byte-identical files.  Runs under different
+    thread counts may differ, because the BLAS may sum in another order."""
     train_set, test_set = generate_synthetic_split(32, 64, 16, seed=5)
     train_p, test_p = tmp_path / "train.pids", tmp_path / "test.pids"
     write_packed(train_set, train_p)

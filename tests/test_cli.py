@@ -21,7 +21,7 @@ from qmiheat.data import (
     write_ppm,
 )
 from qmiheat.models import build_model, load_model, save_model
-from qmiheat.training import TrainConfig, load_history
+from qmiheat.training import TrainConfig
 
 
 def _pgm_dims(path):
@@ -79,8 +79,8 @@ def test_train_writes_run_files(tmp_path, split_files, capsys):
     for i in (1, 2):
         model = load_model(out_dir / f"model_run{i}.vggh")
         assert model.variant == "rf32"
-        hist = load_history(out_dir / f"history_run{i}.csv")
-        assert hist.epochs == [1]
+        hist = np.loadtxt(out_dir / f"history_run{i}.csv", delimiter=",", skiprows=1)
+        assert hist.shape == (4,) and hist[0] == 1
     summary = (out_dir / "summary.txt").read_text()
     assert "runs=2" in summary
     assert "mean_max_accuracy=" in summary
@@ -187,6 +187,34 @@ def test_eval_rejects_images_of_another_window(tmp_path, capsys):
             f"{data_p}: images are {size}x{size}, {variant} takes "
             f"{window}x{window} windows" in captured.err
         )
+
+
+def test_train_rejects_images_of_another_window(tmp_path, capsys):
+    """A --train or --test set of another window size exits 1 before the
+    output directory is made, naming the file, its image size, the variant
+    and its window."""
+    good_p = tmp_path / "set32.pids"
+    bad_p = tmp_path / "set64.pids"
+    write_packed(generate_synthetic(SynthSpec(32, 2, 0)), good_p)
+    write_packed(generate_synthetic(SynthSpec(64, 2, 0)), bad_p)
+    for train_p, test_p in ((bad_p, good_p), (good_p, bad_p)):
+        out_dir = tmp_path / "runs"
+        code = run_cli(
+            [
+                "train",
+                "--train", str(train_p),
+                "--test", str(test_p),
+                "--out-dir", str(out_dir),
+                "--epochs", "1",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"{bad_p}: images are 64x64, rf32 takes 32x32 windows" in captured.err
+        )
+        assert not out_dir.exists()
 
 
 def test_heatmap_command_writes_grid_and_renders(tmp_path, capsys):
@@ -314,6 +342,22 @@ def test_negative_image_dims_are_a_data_error(tmp_path, capsys):
     )
     assert code == 2
     assert "negative.ppm: width must be positive, got -1" in capsys.readouterr().err
+
+
+def test_heatmap_on_an_image_smaller_than_the_window_names_it(tmp_path, capsys):
+    model_p = tmp_path / "m.vggh"
+    save_model(build_model("rf32", seed=0), model_p)
+    img_p = tmp_path / "tiny.ppm"
+    write_ppm(np.zeros((16, 20, 3), dtype=np.uint8), img_p)
+    out_p = tmp_path / "scores.hmap"
+    code = run_cli(
+        ["heatmap", "--model", str(model_p), "--image", str(img_p), "--out", str(out_p)]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{img_p}: input 16x20 smaller than the 32px window" in captured.err
+    assert not out_p.exists()
 
 
 def test_missing_input_file_is_a_data_error(tmp_path, capsys):

@@ -31,14 +31,7 @@ def _grid_for(variant, source_h, source_w, fill):
     geo = output_geometry(variant, source_h, source_w)
     grid = np.zeros((geo.grid_h, geo.grid_w, 2), dtype=np.float32)
     grid[:, :, 1] = np.asarray(fill, dtype=np.float32)
-    return Heatmap(
-        grid=grid,
-        variant=variant,
-        stride_px=geo.stride_px,
-        window_px=geo.window_px,
-        source_h=source_h,
-        source_w=source_w,
-    )
+    return Heatmap(grid=grid, variant=variant, source_h=source_h, source_w=source_w)
 
 
 @pytest.mark.parametrize("variant,size", [("rf32", 32), ("rf64", 64)])
@@ -135,6 +128,10 @@ def test_heatmap_file_round_trip(tmp_path):
     hm = fully_conv_inference(model, _image(64, 128, seed=6))
     p = tmp_path / "scores.hmap"
     write_heatmap(hm, p)
+    header = b"HMAP\nvariant rf64\ngrid 1 3\nstride 32\nwindow 64\nsource 64 128\n"
+    blob = p.read_bytes()
+    assert blob[: len(header)] == header
+    assert len(blob) == len(header) + 1 * 3 * 2 * 4
     back = load_heatmap(p)
     assert np.array_equal(back.grid, hm.grid)
     assert back.variant == hm.variant
@@ -227,8 +224,6 @@ def test_heatmap_validates_grid_against_geometry():
         Heatmap(
             grid=np.zeros((2, 2, 2), dtype=np.float32),
             variant="rf32",
-            stride_px=16,
-            window_px=32,
             source_h=32,
             source_w=32,
         )
@@ -236,25 +231,12 @@ def test_heatmap_validates_grid_against_geometry():
         Heatmap(
             grid=np.zeros((1, 1, 3), dtype=np.float32),
             variant="rf32",
-            stride_px=16,
-            window_px=32,
             source_h=32,
             source_w=32,
         )
 
 
 def test_heatmap_rejects_stride_or_window_foreign_to_the_variant(tmp_path):
-    for stride, window in ((7, 32), (16, 99), (32, 64)):
-        with pytest.raises(ValueError, match="do not match rf32"):
-            Heatmap(
-                grid=np.zeros((1, 1, 2), dtype=np.float32),
-                variant="rf32",
-                stride_px=stride,
-                window_px=window,
-                source_h=32,
-                source_w=32,
-            )
-
     model = build_model("rf32", seed=0)
     p = tmp_path / "scores.hmap"
     write_heatmap(fully_conv_inference(model, _image(32, 48, seed=0)), p)
@@ -265,3 +247,11 @@ def test_heatmap_rejects_stride_or_window_foreign_to_the_variant(tmp_path):
     odd.write_bytes(b"\n".join(lines))
     with pytest.raises(DataFormatError, match=r"odd\.hmap: stride 7px / window 99px"):
         load_heatmap(odd)
+
+
+def test_dense_scans_take_uint8_frames_only():
+    model = build_model("rf32", seed=0)
+    batch = np.random.default_rng(0).random((1, 3, 32, 48), dtype=np.float32)
+    for scan in (fully_conv_inference, sliding_window_oracle):
+        with pytest.raises(ValueError, match=r"expected an \(h, w, 3\) image"):
+            scan(model, batch)

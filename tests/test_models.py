@@ -18,7 +18,6 @@ from qmiheat.models import (
     forward_training,
     load_model,
     output_geometry,
-    parameter_count,
     parameters,
     save_model,
 )
@@ -46,7 +45,7 @@ def test_parameter_count_closed_form():
     )
     assert expected == 16914
     for variant in VARIANTS:
-        assert parameter_count(build_model(variant, seed=0)) == 16914
+        assert sum(p.size for p in parameters(build_model(variant, seed=0))) == 16914
 
 
 def test_parameters_enumeration():
