@@ -10,21 +10,27 @@ stride 1 with 16 or more input channels it then runs one GEMM per kernel
 tap, each tap's operand a view of that buffer (kn2row: Vasudevan,
 Anderson & Gregg, ASAP 2017), so no patch matrix is copied: at 1080p,
 one BLAS thread, rf32's stage 1 went from 84-100 to 58-75 ms.  Fewer
-channels (the 3-channel first stage) or a stride of 2 gather a patch
-matrix from the buffer for one GEMM instead: with K = 3 per tap, tap
-GEMMs ran rf32's stage 0 at 1080p in 147-180 against 97-111 ms.  With
-``pool`` set the forward also max-pools each chunk's or band's product
-2x2 while it is still in cache, so full-resolution activations are never
-written out.  The bias is added to each product as it is written;
-pooled, to the pooled quarter.  Bias after max is exact: float rounding
-is monotone, so max(a, c) + b rounds to max(a + b, c + b).  The backward
-folds each chunk of images into one GEMM for the kernel gradient, summed
-over the chunks, and one for the input gradient.  The input gradient is
-a full correlation of the dilated output gradient with the flipped
-kernel (Dumoulin & Visin, arXiv:1603.07285), so it needs no col2im
-scatter.  Backward patches are copied from a zero-padded, channel-major
-buffer in which, at stride 1, each kernel tap is one contiguous run per
-image.
+channels (the 3-channel first stage) or a stride of 2 copy the band's
+patches instead, and run one GEMM per output row: with K = 3 per tap,
+tap GEMMs ran rf32's stage 0 at 1080p in 147-180 against 97-111 ms.
+Its (16 x 27) @ (27 x N) product runs fastest at N near one 1080p output
+row (see ``_bands``).  Against one GEMM per 4-row band and a separate
+ReLU, that stage went from 104-118 to 69-80 ms (medians of two runs of
+alternating calls), and rf64's stride-2 stage 0 at 640x480 from 7.2-8.7
+to 6.0-7.2 ms.  With ``pool`` set the forward also max-pools each
+chunk's or band's product 2x2 while it is still in cache, so
+full-resolution activations are never written out.  The bias is added
+to each product as it is written; pooled, to the pooled quarter.  Bias
+after max is exact: float rounding is monotone, so max(a, c) + b rounds
+to max(a + b, c + b).  With ``relu`` the biased chunk or band is then
+rectified while still in cache, so a dense stage is one call.  The
+backward folds each chunk of images into one GEMM for the kernel
+gradient, summed over the chunks, and one for the input gradient.  The
+input gradient is a full correlation of the dilated output gradient with
+the flipped kernel (Dumoulin & Visin, arXiv:1603.07285), so it needs no
+col2im scatter.  Backward patches are copied from a zero-padded,
+channel-major buffer in which, at stride 1, each kernel tap is one
+contiguous run per image.
 
 Results are run-to-run deterministic, do not depend on how many images
 share a call, and stay within 1e-5 of the naive fixed-loop summation.
@@ -79,9 +85,10 @@ def _gather(xp, kh, kw, stride, rows, ow):
     return cols
 
 
-def conv2d_forward(x, w, b, stride, pad, pool=False):
+def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
     """Convolution plus bias; with ``pool``, followed by a 2x2/stride-2
-    max-pool that drops an odd last row and column.
+    max-pool that drops an odd last row and column; with ``relu``, then
+    rectified in place.
 
     Outputs are computed per chunk of whole images, each gathering one
     patch matrix for one GEMM.  When one image's patches alone exceed the
@@ -102,7 +109,7 @@ def conv2d_forward(x, w, b, stride, pad, pool=False):
         out_hw = (oh // 2, ow // 2)
     out = np.empty((n, oc, *out_hw), dtype=np.float32)
     if strip < oh:
-        return _bands(x, w, b, stride, pad, oh, ow, strip, pool, out)
+        return _bands(x, w, b, stride, pad, oh, ow, strip, pool, relu, out)
     imgs = _image_chunk(ckk * oh * ow, n)
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     w_mat = w.reshape(oc, ckk)
@@ -117,6 +124,8 @@ def conv2d_forward(x, w, b, stride, pad, pool=False):
         else:
             np.matmul(w_mat, flat, out=dst.reshape(i1 - i0, oc, oh * ow))
         dst += bias
+        if relu:
+            np.maximum(dst, 0.0, out=dst)
     return out
 
 
@@ -129,7 +138,7 @@ def _tap_rows(oc, wp, oh, pool):
     return min(rows, oh)
 
 
-def _bands(x, w, b, stride, pad, oh, ow, strip, pool, out):
+def _bands(x, w, b, stride, pad, oh, ow, strip, pool, relu, out):
     """Convolution of one image at a time in bands of output rows.
 
     A band's input rows sit zero-bordered in one flat (c, rows_in*wp + kw - 1)
@@ -140,8 +149,19 @@ def _bands(x, w, b, stride, pad, oh, ow, strip, pool, out):
     tap's operand for the whole band is the run of rows*wp floats at
     ki*wp + kj, a view, not a copy.  The accumulator's columns at or past
     ow read across the row end and are dropped.  Otherwise ``strip`` rows
-    make a band, whose patch matrix is gathered from the buffer's grid for
-    one GEMM.
+    make a band.  Its patches are copied from the buffer's grid into one
+    (rows, c, kh, kw, ow) block, allocated once per call, so each output
+    row's (K, ow) patch matrix is contiguous, and one batched matmul runs
+    one GEMM per output row.  For rf32's stage 0 (oc = 16, K = 27), one
+    BLAS thread, OpenBLAS ran the (16 x 27) @ (27 x N) product at 52-54
+    GFLOP/s for N = 480, 62 for 960, 66 for 1920 (one 1080p row), 45-58
+    for 3840 and 7680 (the 2- and 4-row bands it replaces) and 33-34 for
+    15360.  The block is filled from a sliding-window view of the grid in
+    one copy; nine tap copies took 7-10% longer on that stage.
+
+    Either way the epilogue pools, adds the bias and, with ``relu``,
+    rectifies; the per-row product does so in temporaries of its own
+    (row, channel, column) layout and is copied into ``out`` last.
     """
     n, c, h, wd = x.shape
     oc, _, kh, kw = w.shape
@@ -161,6 +181,11 @@ def _bands(x, w, b, stride, pad, oh, ow, strip, pool, out):
         prod = np.empty_like(acc)
     else:
         w_mat = w.reshape(oc, -1)
+        block = np.empty((rows, c, kh, kw, ow), dtype=np.float32)
+        # Row r, tap (ki, kj), column j of a band's patches: its grid cell
+        # (r*stride + ki, j*stride + kj), so one copy fills every tap.
+        patches = np.lib.stride_tricks.sliding_window_view(grid, (kh, kw), axis=(1, 2))
+        patches = patches[:, ::stride, ::stride].transpose(1, 0, 3, 4, 2)
     bias = b.reshape(oc, 1, 1)
     for i in range(n):
         for r0 in range(0, oh, rows):
@@ -170,6 +195,7 @@ def _bands(x, w, b, stride, pad, oh, ow, strip, pool, out):
             grid[:, : top - lo] = 0
             grid[:, top - lo : end - lo, pad : pad + wd] = x[i, :, top:end]
             grid[:, end - lo :] = 0
+            rs = slice(r0 // 2, (r0 + m) // 2) if pool else slice(r0, r0 + m)
             if taps:
                 span = m * wp
                 a, p = acc[:, :span], prod[:, :span]
@@ -177,21 +203,31 @@ def _bands(x, w, b, stride, pad, oh, ow, strip, pool, out):
                 for tap, off in rest:
                     np.matmul(tap, buf[:, off : off + span], out=p)
                     a += p
-                res = a.reshape(oc, m, wp)[:, :, :ow]
+                res, dst = a.reshape(oc, m, wp)[:, :, :ow], out[i, :, rs]
             else:
-                cols = _gather(grid[None], kh, kw, stride, m, ow)
-                res = np.matmul(w_mat, cols.reshape(-1, m * ow)).reshape(oc, m, ow)
+                block[:m] = patches[:m, ..., :ow]
+                # The (m, oc, ow) product, read as (oc, m, ow), is pooled,
+                # biased and rectified in temporaries of its own layout;
+                # pooling it straight into out measured slower.
+                res = np.matmul(w_mat, block[:m].reshape(m, -1, ow)).transpose(1, 0, 2)
+                dst = None
             if pool:
-                dst = maxpool2x2(res, out[i, :, r0 // 2 : (r0 + m) // 2])
+                dst = maxpool2x2(res, dst)
+            elif dst is None:
+                dst = res
             else:
-                dst = out[i, :, r0 : r0 + m]
                 dst[...] = res
             dst += bias
+            if relu:
+                np.maximum(dst, 0.0, out=dst)
+            if not taps:
+                out[i, :, rs] = dst
     return out
 
 
-def maxpool2x2(x, out):
-    """2x2/stride-2 max of x (..., 2*h2, 2*w2) into out (..., h2, w2).
+def maxpool2x2(x, out=None):
+    """2x2/stride-2 max of x (..., 2*h2, 2*w2) into out (..., h2, w2), or
+    into a new array in x's memory order.
 
     The max over row pairs first, whose operands are whole contiguous
     rows, then over column pairs of that half-size result: two passes

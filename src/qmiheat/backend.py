@@ -10,14 +10,17 @@ try:
     from ._convcore import conv2d_backward as _core_backward
     from ._convcore import conv2d_forward as _core_forward
 
-    def conv2d_forward(x, w, b, stride, pad, pool=False):
-        """The core computes the whole convolution; pool its even crop after."""
+    def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
+        """The core computes the whole convolution; pool its even crop and
+        rectify after."""
         out = _core_forward(x, w, b, stride, pad)
-        if not pool:
-            return out
-        n, oc, oh, ow = out.shape
-        pooled = np.empty((n, oc, oh // 2, ow // 2), dtype=np.float32)
-        return maxpool2x2(out[:, :, : oh // 2 * 2, : ow // 2 * 2], pooled)
+        if pool:
+            n, oc, oh, ow = out.shape
+            pooled = np.empty((n, oc, oh // 2, ow // 2), dtype=np.float32)
+            out = maxpool2x2(out[:, :, : oh // 2 * 2, : ow // 2 * 2], pooled)
+        if relu:
+            np.maximum(out, 0.0, out=out)
+        return out
 
     def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
         """The core always computes the input gradient; drop it unless asked."""

@@ -136,8 +136,10 @@ def _cmd_train(args):
     config = _train_config(args)
     train_set = load_packed(args.train_path)
     test_set = load_packed(args.test_path)
-    check_window(config.variant, train_set, f"{args.train_path}: images")
-    check_window(config.variant, test_set, f"{args.test_path}: images")
+    for path, dataset in ((args.train_path, train_set), (args.test_path, test_set)):
+        if len(dataset) == 0:
+            raise ValueError(f"{path}: dataset is empty")
+        check_window(config.variant, dataset, f"{path}: images")
     os.makedirs(args.out_dir, exist_ok=True)
 
     def save_run(i, model, history):

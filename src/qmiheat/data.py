@@ -65,10 +65,16 @@ def to_float(dataset, idx=None):
 
 
 def image_to_float(pixels):
-    """Single uint8 HWC image to a 1 x 3 x h x w float32 batch in [0, 1]."""
-    px = np.asarray(pixels, dtype=np.uint8)
+    """Single uint8 HWC image to a 1 x 3 x h x w float32 batch in [0, 1].
+
+    Any other dtype is a ValueError: a cast would read a float frame in
+    [0, 1] as black.
+    """
+    px = np.asarray(pixels)
     if px.ndim != 3 or px.shape[2] != 3:
         raise ValueError(f"expected an (h, w, 3) image, got {px.shape}")
+    if px.dtype != np.uint8:
+        raise ValueError(f"expected a uint8 image, got dtype {px.dtype}")
     return _unit_nchw(px[None])
 
 

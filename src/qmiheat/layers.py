@@ -62,16 +62,18 @@ class ConvLayer:
         return oh, ow
 
 
-def conv2d_forward(x, layer, pool=False):
+def conv2d_forward(x, layer, pool=False, relu=False):
     """Cross-correlation plus bias over an NCHW batch.
 
     With ``pool`` the result is max-pooled 2x2/stride 2 in the same call,
     dropping an odd last row and column; the numpy backend never holds the
-    unpooled output.  The numpy backend multiplies patch matrices of whole
-    images, or, on frames too large for one, walks bands of output rows;
-    there a stride-1 convolution with 16 or more input channels runs one
-    matrix product per kernel tap, which sums in another order (see
-    ``_convpy``).
+    unpooled output.  With ``relu`` the (pooled) result is then rectified
+    in place, which gives the bytes of a separate ``relu_infer``.  The
+    numpy backend multiplies patch matrices of whole images, or, on frames
+    too large for one, walks bands of output rows; there a stride-1
+    convolution with 16 or more input channels runs one matrix product
+    per kernel tap, which sums in another order, and any other runs one
+    per output row (see ``_convpy``).
     """
     x = _as_f32_nchw(x)
     if x.shape[1] != layer.in_channels:
@@ -80,7 +82,7 @@ def conv2d_forward(x, layer, pool=False):
         )
     layer.out_size(x.shape[2], x.shape[3])
     return backend.conv2d_forward(
-        x, layer.kernel, layer.bias, layer.stride, layer.pad, pool
+        x, layer.kernel, layer.bias, layer.stride, layer.pad, pool, relu
     )
 
 

@@ -23,7 +23,7 @@ from .layers import (
     maxpool2x2_backward,
     maxpool2x2_forward,
     maxpool2x2_infer,  # noqa: F401  (the benchmark tracer wraps this name)
-    relu_infer,
+    relu_infer,  # noqa: F401  (the benchmark tracer wraps this name)
     relu_backward,
     relu_forward,
 )
@@ -159,10 +159,10 @@ def _crop_even(x):
 def forward_scores(model, x):
     """Full forward pass to the 2-channel score map.
 
-    Each pooled stage is one fused call: the convolution computes only
-    the cells its pool keeps and max-pools them strip by strip, adding the
-    bias after the max, which is exact because float rounding is monotone.
-    The ReLU then runs in place on the pooled quarter.
+    Each stage is one call: the convolution computes only the cells its
+    pool keeps and max-pools them band by band, adding the bias after the
+    max, which is exact because float rounding is monotone, and then
+    applies the ReLU in place on the pooled quarter.
 
     Every downsampling step (each pooling, and a strided conv's input)
     sees even spatial dims, which realizes floor-based geometry on
@@ -175,9 +175,7 @@ def forward_scores(model, x):
     for spec in model.layers:
         if spec.conv.stride == 2:
             x = _crop_even(x)
-        x = conv2d_forward(x, spec.conv, pool=spec.pool)
-        if spec.relu:
-            x = relu_infer(x)
+        x = conv2d_forward(x, spec.conv, pool=spec.pool, relu=spec.relu)
     return x
 
 

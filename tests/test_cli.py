@@ -13,6 +13,7 @@ import qmiheat
 from qmiheat.cli import _build_parser, _train_config, run_cli
 from qmiheat.config import load_config
 from qmiheat.data import (
+    PackedDataset,
     SynthSpec,
     generate_synthetic,
     generate_synthetic_split,
@@ -214,6 +215,31 @@ def test_train_rejects_images_of_another_window(tmp_path, capsys):
         assert (
             f"{bad_p}: images are 64x64, rf32 takes 32x32 windows" in captured.err
         )
+        assert not out_dir.exists()
+
+
+def test_train_rejects_an_empty_set_before_making_the_out_dir(tmp_path, capsys):
+    """An empty --train or --test set exits 1 with a message that names
+    the file, and leaves no output directory behind."""
+    good_p = tmp_path / "set32.pids"
+    empty_p = tmp_path / "empty.pids"
+    write_packed(generate_synthetic(SynthSpec(32, 2, 0)), good_p)
+    write_packed(PackedDataset(np.zeros((0, 32, 32, 3), np.uint8), np.zeros(0)), empty_p)
+    for train_p, test_p in ((empty_p, good_p), (good_p, empty_p)):
+        out_dir = tmp_path / "runs"
+        code = run_cli(
+            [
+                "train",
+                "--train", str(train_p),
+                "--test", str(test_p),
+                "--out-dir", str(out_dir),
+                "--epochs", "1",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{empty_p}: dataset is empty" in captured.err
         assert not out_dir.exists()
 
 

@@ -122,6 +122,15 @@ def test_image_to_float_single_frame():
         image_to_float(np.zeros((6, 7), dtype=np.uint8))
 
 
+def test_image_to_float_rejects_frames_that_are_not_uint8():
+    """A cast would score a float frame of 0.7 as black; every other dtype
+    is refused, naming it."""
+    for dtype in (np.float32, np.float64, np.int64, np.uint16, bool):
+        frame = np.full((6, 7, 3), 0.7).astype(dtype)
+        with pytest.raises(ValueError, match=f"uint8 image, got dtype {np.dtype(dtype)}"):
+            image_to_float(frame)
+
+
 def test_synthetic_is_deterministic_and_balanced():
     spec = SynthSpec(size=32, count_per_class=10, seed=5)
     a = generate_synthetic(spec)

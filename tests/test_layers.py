@@ -111,6 +111,23 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
     for stride in (1, 2):
         _assert_matches_oracle_pooled_and_not(x, wt, b, stride, 1)
 
+    # One image each with odd height and width, a 2x4 kernel and no
+    # padding, so each output row's patch matrix holds 24 rows, not 27.
+    # At stride 1 the 10 output rows run in bands of 7 and 3 (pooled: 6
+    # and 4); at stride 2 the 6 rows run in bands of 5 and 1 (pooled: 4
+    # and 2).
+    limit = np.sqrt(6.0 / 24)
+    wt = rng.uniform(-limit, limit, size=(3, 3, 2, 4)).astype(np.float32)
+    b = rng.uniform(-0.5, 0.5, size=3).astype(np.float32)
+    for (h, w), stride, oh, ow, rows, pooled_rows in (
+        ((11, 75), 1, 10, 72, 7, 6),
+        ((13, 187), 2, 6, 92, 5, 4),
+    ):
+        assert _convpy._row_strip(24, ow, oh) == rows and oh % rows
+        assert rows // 2 * 2 == pooled_rows and oh // 2 * 2 % pooled_rows
+        x = rng.uniform(-0.5, 0.5, size=(1, 3, h, w)).astype(np.float32)
+        _assert_matches_oracle_pooled_and_not(x, wt, b, stride, 0)
+
 
 def _assert_matches_oracle_pooled_and_not(x, wt, b, stride, pad):
     layer = _layer(wt, bias=b, stride=stride, pad=pad)
@@ -123,6 +140,39 @@ def _assert_matches_oracle_pooled_and_not(x, wt, b, stride, pad):
     got = conv2d_forward(x, layer, pool=True)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-6
+
+
+def test_relu_epilogue_equals_maximum_of_the_conv_bitwise(monkeypatch):
+    """relu=True gives the bytes of np.maximum(conv(relu=False), 0) on
+    whole-image chunks, tap bands and patch-matrix bands, pooled or not,
+    with biases that push many outputs below zero."""
+    monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 27 * 117 * 4)
+    rng = np.random.default_rng(23)
+    cases = [
+        # whole-image chunks: a batch of small images
+        ((3, 3, 9, 11), (4, 3, 3, 3), 1),
+        # tap bands: 16 channels at stride 1
+        ((1, 16, 15, 117), (4, 16, 3, 3), 1),
+        # patch-matrix bands: 3 channels at stride 1 and 2
+        ((2, 3, 15, 117), (4, 3, 3, 3), 1),
+        ((1, 3, 15, 117), (4, 3, 3, 3), 2),
+    ]
+    paths = []
+    for x_shape, k_shape, stride in cases:
+        _, c, h, w = x_shape
+        oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
+        banded = _convpy._row_strip(c * 9, ow, oh) < oh
+        paths.append((banded, banded and stride == 1 and c >= _convpy._TAP_MIN_CHANNELS))
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        layer = _layer(
+            rng.standard_normal(k_shape), rng.uniform(-1.0, 0.5, k_shape[0]), stride, 1
+        )
+        for pool in (False, True):
+            plain = conv2d_forward(x, layer, pool)
+            fused = conv2d_forward(x, layer, pool, relu=True)
+            assert (plain < 0).any() and (plain > 0).any()
+            assert fused.tobytes() == np.maximum(plain, 0.0).tobytes()
+    assert paths == [(False, False), (True, True), (True, False), (True, False)]
 
 
 def test_forward_rejects_channel_mismatch_and_undersized_input():
@@ -228,14 +278,17 @@ def test_backends_agree_within_1e_5_on_forward_and_backward():
         assert np.abs(outs[0] - outs[1]).max() <= 1e-5
         for a, bb in zip(grads[0], grads[1]):
             assert np.abs(a - bb).max() <= 1e-5
-        pooled = [
-            fwd(x, wt, b, 1, 1, pool=True)
-            for fwd in (_convpy.conv2d_forward, backend.conv2d_forward)
-        ]
-        assert pooled[0].shape == pooled[1].shape == (
-            x.shape[0], wt.shape[0], x.shape[2] // 2, x.shape[3] // 2
-        )
-        assert np.abs(pooled[0] - pooled[1]).max() <= 1e-5
+        for relu in (False, True):
+            pooled = [
+                fwd(x, wt, b, 1, 1, pool=True, relu=relu)
+                for fwd in (_convpy.conv2d_forward, backend.conv2d_forward)
+            ]
+            assert pooled[0].shape == pooled[1].shape == (
+                x.shape[0], wt.shape[0], x.shape[2] // 2, x.shape[3] // 2
+            )
+            assert np.abs(pooled[0] - pooled[1]).max() <= 1e-5
+            if relu:
+                assert pooled[1].min() >= 0.0
 
 
 _CORE_SRC = Path(__file__).resolve().parents[1] / "src" / "qmiheat"

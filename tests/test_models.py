@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import central_difference, relative_error
 
-from qmiheat import _convpy
+from qmiheat import _convpy, models
 from qmiheat.errors import DataFormatError
 from qmiheat.layers import conv2d_backward, conv2d_forward
 from qmiheat.models import (
@@ -293,6 +293,31 @@ def test_pool_then_relu_matches_relu_then_pool_reference_bitwise():
             assert _convpy._row_strip(ic * kh * kw, ow, oh) < oh // 2
             odd |= oh % 2 == 1 and ow % 2 == 1
         assert odd
+
+
+def test_forward_scores_makes_one_conv_call_per_stage(monkeypatch):
+    """The dense walk rectifies inside each stage's convolution: one conv
+    call per layer, with the ReLU and pool flags of the architecture, and
+    no separate relu_infer call."""
+    calls = []
+
+    def conv_spy(x, layer, pool=False, relu=False):
+        calls.append((pool, relu))
+        return conv2d_forward(x, layer, pool, relu)
+
+    def relu_spy(x):
+        raise AssertionError("forward_scores called relu_infer")
+
+    monkeypatch.setattr(models, "conv2d_forward", conv_spy)
+    monkeypatch.setattr(models, "relu_infer", relu_spy)
+    rng = np.random.default_rng(6)
+    for variant in VARIANTS:
+        m = build_model(variant, seed=3)
+        frame = rng.random((1, 3, 75, 141), dtype=np.float32)
+        calls.clear()
+        forward_scores(m, frame)
+        assert calls == [(spec.pool, spec.relu) for spec in m.layers]
+        assert calls == [(True, True)] * 4 + [(False, False)]
 
 
 def test_embedding_gradient_reaches_features_not_classifier():
