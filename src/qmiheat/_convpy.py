@@ -1,36 +1,36 @@
 """Numpy fallback for the convolution hot kernels.
 
 Both passes run on float32 matrix products (BLAS sgemm), one chunk at a
-time.  The forward has two loops.  The first groups whole images into a
-chunk whose patch matrix stays within ``_STRIP_BUDGET`` and runs one
-GEMM per chunk.  When one image's patches alone exceed the budget, as
-for full-HD frames, the second walks each image in bands of output rows.
-A band copies the input rows it reads into one zero-bordered buffer.  At
-stride 1 with 16 or more input channels it then runs one GEMM per kernel
-tap, each tap's operand a view of that buffer (kn2row: Vasudevan,
-Anderson & Gregg, ASAP 2017), so no patch matrix is copied: at 1080p,
-one BLAS thread, rf32's stage 1 went from 84-100 to 58-75 ms.  Fewer
-channels (the 3-channel first stage) or a stride of 2 copy the band's
-patches instead, and run one GEMM per output row: with K = 3 per tap,
-tap GEMMs ran rf32's stage 0 at 1080p in 147-180 against 97-111 ms.
-Its (16 x 27) @ (27 x N) product runs fastest at N near one 1080p output
-row (see ``_bands``).  Against one GEMM per 4-row band and a separate
-ReLU, that stage went from 104-118 to 69-80 ms (medians of two runs of
-alternating calls), and rf64's stride-2 stage 0 at 640x480 from 7.2-8.7
-to 6.0-7.2 ms.  With ``pool`` set the forward also max-pools each
-chunk's or band's product 2x2 while it is still in cache, so
-full-resolution activations are never written out.  The bias is added
-to each product as it is written; pooled, to the pooled quarter.  Bias
-after max is exact: float rounding is monotone, so max(a, c) + b rounds
-to max(a + b, c + b).  With ``relu`` the biased chunk or band is then
-rectified while still in cache, so a dense stage is one call.  The
-backward folds each chunk of images into one GEMM for the kernel
-gradient, summed over the chunks, and one for the input gradient.  The
-input gradient is a full correlation of the dilated output gradient with
-the flipped kernel (Dumoulin & Visin, arXiv:1603.07285), so it needs no
-col2im scatter.  Backward patches are copied from a zero-padded,
-channel-major buffer in which, at stride 1, each kernel tap is one
-contiguous run per image.
+time.  The forward is one loop over units of work.  Each unit copies the
+input rows it reads into one zero-bordered buffer, so the batch is never
+padded as a whole.  A unit is a chunk of whole images whose patch
+matrices stay within ``_STRIP_BUDGET``, or, when one image's patches
+alone exceed it, as for full-HD frames, a band of one image's output
+rows.  At stride 1 with 16 or more input channels a band runs one GEMM
+per kernel tap, each tap's operand a view of that buffer (kn2row:
+Vasudevan, Anderson & Gregg, ASAP 2017), so no patch matrix is copied:
+at 1080p, one BLAS thread, rf32's stage 1 went from 84-100 to 58-75 ms.
+Otherwise the unit's patches are copied from the buffer in one copy and
+multiplied one GEMM per image, or, in a band, one GEMM per output row:
+with K = 3 per tap, tap GEMMs ran rf32's 3-channel stage 0 at 1080p in
+147-180 against 97-111 ms, and its (16 x 27) @ (27 x N) product runs
+fastest at N near one 1080p output row (see ``conv2d_forward``).
+Against one GEMM per 4-row band and a separate ReLU, that stage went
+from 104-118 to 69-80 ms (medians of two runs of alternating calls),
+and rf64's stride-2 stage 0 at 640x480 from 7.2-8.7 to 6.0-7.2 ms.
+With ``pool`` set the forward also max-pools each unit's product 2x2
+while it is still in cache, so full-resolution activations are never
+written out.  The bias is added after the pool, to the pooled quarter.
+Bias after max is exact: float rounding is monotone, so
+max(a, c) + b rounds to max(a + b, c + b).  With ``relu`` the biased
+unit is then rectified while still in cache, so a dense stage is one
+call.  The backward folds each chunk of images into one GEMM for the
+kernel gradient, summed over the chunks, and one for the input
+gradient.  The input gradient is a full correlation of the dilated
+output gradient with the flipped kernel (Dumoulin & Visin,
+arXiv:1603.07285), so it needs no col2im scatter.  Backward patches are
+copied from a zero-padded, channel-major buffer in which, at stride 1,
+each kernel tap is one contiguous run per image.
 
 Results are run-to-run deterministic, do not depend on how many images
 share a call, and stay within 1e-5 of the naive fixed-loop summation.
@@ -73,28 +73,45 @@ def _image_chunk(per_image, n):
     return max(1, min(n, _STRIP_BUDGET // max(1, per_image)))
 
 
-def _gather(xp, kh, kw, stride, rows, ow):
-    """Patch tensor (n, c, kh, kw, rows, ow) for the first ``rows`` output rows."""
-    n, c, _, _ = xp.shape
-    cols = np.empty((n, c, kh, kw, rows, ow), dtype=np.float32)
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[:, :, ki, kj] = xp[
-                :, :, ki : ki + rows * stride : stride, kj : kj + ow * stride : stride
-            ]
-    return cols
+def _tap_rows(oc, wp, oh, pool):
+    """Output rows per band of the tap path: the band's (oc, rows*wp)
+    accumulator fits _TAP_BUDGET; pooled, an even count of at least 2."""
+    rows = max(1, _TAP_BUDGET // (oc * wp))
+    if pool:
+        rows = max(2, rows // 2 * 2)
+    return min(rows, oh)
 
 
 def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
     """Convolution plus bias; with ``pool``, followed by a 2x2/stride-2
     max-pool that drops an odd last row and column; with ``relu``, then
-    rectified in place.
+    rectified.
 
-    Outputs are computed per chunk of whole images, each gathering one
-    patch matrix for one GEMM.  When one image's patches alone exceed the
-    budget, ``_bands`` walks each image in bands of output rows instead.
-    Pooled, only the cells the pool keeps are computed, and they pool
-    straight into the output.
+    One loop walks units of work: chunks of whole images when an image's
+    patches fit ``_STRIP_BUDGET``, else bands of one image's output rows.
+    A unit's input rows sit zero-bordered in one flat
+    (c, rows_in*wp + kw - 1) buffer per image, wp the padded width.  At
+    stride 1 with at least ``_TAP_MIN_CHANNELS`` channels, ``_tap_rows``
+    rows make a band, run as one GEMM per kernel tap (kn2row) summed into
+    one accumulator: output row r, tap (ki, kj) reads the buffer from
+    (r + ki)*wp + kj on, so each tap's operand for the whole band is the
+    run of rows*wp floats at ki*wp + kj, a view, not a copy.  The
+    accumulator's columns at or past ow read across the row end and are
+    dropped.  Otherwise ``strip`` rows make a band, and any unit's patches
+    are copied from a strided view of the buffer, in one copy, into one
+    block allocated per call.  A chunk then runs one GEMM per image, and a
+    band one per output row, each on a contiguous patch matrix.  For
+    rf32's stage 0 (oc = 16, K = 27), one BLAS thread, OpenBLAS ran the
+    (16 x 27) @ (27 x N) product at 52-54 GFLOP/s for N = 480, 62 for 960,
+    66 for 1920 (one 1080p row), 45-58 for 3840 and 7680 (2- and 4-row
+    GEMMs) and 33-34 for 15360; nine tap copies in place of the one copy
+    took 7-10% longer on that stage.
+
+    Every unit's product, read as (images, oc, rows, ow), is pooled, then
+    biased and, with ``relu``, rectified in a temporary of its own layout,
+    and copied into the output last; pooling a band straight into the
+    output measured slower.  Pooled, only the cells the pool keeps are
+    computed.
     """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
@@ -108,69 +125,19 @@ def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
         strip = max(2, strip // 2 * 2)
         out_hw = (oh // 2, ow // 2)
     out = np.empty((n, oc, *out_hw), dtype=np.float32)
-    if strip < oh:
-        return _bands(x, w, b, stride, pad, oh, ow, strip, pool, relu, out)
-    imgs = _image_chunk(ckk * oh * ow, n)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    w_mat = w.reshape(oc, ckk)
-    bias = b.reshape(1, oc, 1, 1)
-    for i0 in range(0, n, imgs):
-        i1 = min(i0 + imgs, n)
-        cols = _gather(xp[i0:i1], kh, kw, stride, oh, ow)
-        flat = cols.reshape(i1 - i0, ckk, oh * ow)
-        dst = out[i0:i1]
-        if pool:
-            maxpool2x2(np.matmul(w_mat, flat).reshape(i1 - i0, oc, oh, ow), dst)
-        else:
-            np.matmul(w_mat, flat, out=dst.reshape(i1 - i0, oc, oh * ow))
-        dst += bias
-        if relu:
-            np.maximum(dst, 0.0, out=dst)
-    return out
-
-
-def _tap_rows(oc, wp, oh, pool):
-    """Output rows per band of the tap path: the band's (oc, rows*wp)
-    accumulator fits _TAP_BUDGET; pooled, an even count of at least 2."""
-    rows = max(1, _TAP_BUDGET // (oc * wp))
-    if pool:
-        rows = max(2, rows // 2 * 2)
-    return min(rows, oh)
-
-
-def _bands(x, w, b, stride, pad, oh, ow, strip, pool, relu, out):
-    """Convolution of one image at a time in bands of output rows.
-
-    A band's input rows sit zero-bordered in one flat (c, rows_in*wp + kw - 1)
-    buffer, wp the padded width.  At stride 1 with at least
-    ``_TAP_MIN_CHANNELS`` channels, ``_tap_rows`` rows make a band, run as
-    one GEMM per kernel tap (kn2row) summed into one accumulator: output
-    row r, tap (ki, kj) reads the buffer from (r + ki)*wp + kj on, so each
-    tap's operand for the whole band is the run of rows*wp floats at
-    ki*wp + kj, a view, not a copy.  The accumulator's columns at or past
-    ow read across the row end and are dropped.  Otherwise ``strip`` rows
-    make a band.  Its patches are copied from the buffer's grid into one
-    (rows, c, kh, kw, ow) block, allocated once per call, so each output
-    row's (K, ow) patch matrix is contiguous, and one batched matmul runs
-    one GEMM per output row.  For rf32's stage 0 (oc = 16, K = 27), one
-    BLAS thread, OpenBLAS ran the (16 x 27) @ (27 x N) product at 52-54
-    GFLOP/s for N = 480, 62 for 960, 66 for 1920 (one 1080p row), 45-58
-    for 3840 and 7680 (the 2- and 4-row bands it replaces) and 33-34 for
-    15360.  The block is filled from a sliding-window view of the grid in
-    one copy; nine tap copies took 7-10% longer on that stage.
-
-    Either way the epilogue pools, adds the bias and, with ``relu``,
-    rectifies; the per-row product does so in temporaries of its own
-    (row, channel, column) layout and is copied into ``out`` last.
-    """
-    n, c, h, wd = x.shape
-    oc, _, kh, kw = w.shape
+    if out.size == 0:
+        return out
     wp = wd + 2 * pad
-    taps = stride == 1 and c >= _TAP_MIN_CHANNELS
-    rows = _tap_rows(oc, wp, oh, pool) if taps else strip
+    # A unit is ``imgs`` images by ``rows`` output rows; ``per`` of its
+    # rows run as one GEMM of the patch path.
+    if strip >= oh:
+        taps, imgs, rows, per = False, _image_chunk(ckk * oh * ow, n), oh, oh
+    else:
+        taps = stride == 1 and c >= _TAP_MIN_CHANNELS
+        imgs, rows, per = 1, _tap_rows(oc, wp, oh, pool) if taps else strip, 1
     rows_in = (rows - 1) * stride + kh
-    buf = np.zeros((c, rows_in * wp + kw - 1), dtype=np.float32)
-    grid = buf[:, : rows_in * wp].reshape(c, rows_in, wp)
+    buf = np.zeros((imgs, c, rows_in * wp + kw - 1), dtype=np.float32)
+    grid = buf[:, :, : rows_in * wp].reshape(imgs, c, rows_in, wp)
     if taps:
         (t0, off0), *rest = [
             (np.ascontiguousarray(w[:, :, ki, kj]), ki * wp + kj)
@@ -178,50 +145,51 @@ def _bands(x, w, b, stride, pad, oh, ow, strip, pool, relu, out):
             for kj in range(kw)
         ]
         acc = np.empty((oc, rows * wp), dtype=np.float32)
-        prod = np.empty_like(acc)
+        tmp = np.empty_like(acc)
     else:
-        w_mat = w.reshape(oc, -1)
-        block = np.empty((rows, c, kh, kw, ow), dtype=np.float32)
-        # Row r, tap (ki, kj), column j of a band's patches: its grid cell
-        # (r*stride + ki, j*stride + kj), so one copy fills every tap.
-        patches = np.lib.stride_tricks.sliding_window_view(grid, (kh, kw), axis=(1, 2))
-        patches = patches[:, ::stride, ::stride].transpose(1, 0, 3, 4, 2)
+        w_mat = w.reshape(oc, ckk)
+        # block[i, g] is the (K, per*ow) patch matrix of one GEMM: its entry
+        # (ch, ki, kj, r, j) is grid cell (i, ch, (g*per + r)*stride + ki,
+        # j*stride + kj), so one copy from this view fills every tap.
+        si, sc, sr, sj = grid.strides
+        patches = np.lib.stride_tricks.as_strided(
+            grid,
+            (imgs, rows // per, c, kh, kw, per, ow),
+            (si, per * stride * sr, sc, sr, sj, stride * sr, stride * sj),
+            writeable=False,
+        )
+        block = np.empty(patches.shape, dtype=np.float32)
     bias = b.reshape(oc, 1, 1)
-    for i in range(n):
+    for i0 in range(0, n, imgs):
+        i1 = min(i0 + imgs, n)
+        u = i1 - i0
         for r0 in range(0, oh, rows):
             m = min(rows, oh - r0)
             lo = r0 * stride - pad
             top, end = max(lo, 0), min(lo + (m - 1) * stride + kh, h)
-            grid[:, : top - lo] = 0
-            grid[:, top - lo : end - lo, pad : pad + wd] = x[i, :, top:end]
-            grid[:, end - lo :] = 0
-            rs = slice(r0 // 2, (r0 + m) // 2) if pool else slice(r0, r0 + m)
+            grid[:u, :, : top - lo] = 0
+            grid[:u, :, top - lo : end - lo, pad : pad + wd] = x[i0:i1, :, top:end]
+            grid[:u, :, end - lo :] = 0
             if taps:
                 span = m * wp
-                a, p = acc[:, :span], prod[:, :span]
-                np.matmul(t0, buf[:, off0 : off0 + span], out=a)
+                a, p = acc[:, :span], tmp[:, :span]
+                np.matmul(t0, buf[0, :, off0 : off0 + span], out=a)
                 for tap, off in rest:
-                    np.matmul(tap, buf[:, off : off + span], out=p)
+                    np.matmul(tap, buf[0, :, off : off + span], out=p)
                     a += p
-                res, dst = a.reshape(oc, m, wp)[:, :, :ow], out[i, :, rs]
+                res = a.reshape(1, oc, m, wp)[..., :ow]
             else:
-                block[:m] = patches[:m, ..., :ow]
-                # The (m, oc, ow) product, read as (oc, m, ow), is pooled,
-                # biased and rectified in temporaries of its own layout;
-                # pooling it straight into out measured slower.
-                res = np.matmul(w_mat, block[:m].reshape(m, -1, ow)).transpose(1, 0, 2)
-                dst = None
+                g = m // per
+                block[:u, :g] = patches[:u, :g]
+                prod = np.matmul(w_mat, block[:u, :g].reshape(u * g, ckk, per * ow))
+                res = prod.reshape(u, g, oc, -1).swapaxes(1, 2).reshape(u, oc, m, ow)
             if pool:
-                dst = maxpool2x2(res, dst)
-            elif dst is None:
-                dst = res
-            else:
-                dst[...] = res
-            dst += bias
+                res = maxpool2x2(res)
+            res += bias
             if relu:
-                np.maximum(dst, 0.0, out=dst)
-            if not taps:
-                out[i, :, rs] = dst
+                np.maximum(res, 0.0, out=res)
+            rs = slice(r0 // 2, (r0 + m) // 2) if pool else slice(r0, r0 + m)
+            out[i0:i1, :, rs] = res
     return out
 
 

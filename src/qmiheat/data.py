@@ -64,18 +64,25 @@ def to_float(dataset, idx=None):
     return _unit_nchw(dataset.pixels if idx is None else dataset.pixels[idx])
 
 
-def image_to_float(pixels):
-    """Single uint8 HWC image to a 1 x 3 x h x w float32 batch in [0, 1].
+def check_image(pixels, gray=False):
+    """``pixels`` as an array, checked to be a uint8 (h, w, 3) image, or
+    with ``gray`` an (h, w) one.
 
     Any other dtype is a ValueError: a cast would read a float frame in
     [0, 1] as black.
     """
     px = np.asarray(pixels)
-    if px.ndim != 3 or px.shape[2] != 3:
-        raise ValueError(f"expected an (h, w, 3) image, got {px.shape}")
+    if px.ndim != (2 if gray else 3) or px.shape[2:] not in ((), (3,)):
+        form = "(h, w)" if gray else "(h, w, 3)"
+        raise ValueError(f"expected an {form} image, got shape {px.shape}")
     if px.dtype != np.uint8:
         raise ValueError(f"expected a uint8 image, got dtype {px.dtype}")
-    return _unit_nchw(px[None])
+    return px
+
+
+def image_to_float(pixels):
+    """Single uint8 HWC image to a 1 x 3 x h x w float32 batch in [0, 1]."""
+    return _unit_nchw(check_image(pixels)[None])
 
 
 def _unit_nchw(px):
@@ -246,19 +253,16 @@ def read_ppm(path):
 
 
 def write_ppm(pixels, path):
-    px = np.ascontiguousarray(pixels, dtype=np.uint8)
-    if px.ndim != 3 or px.shape[2] != 3:
-        raise ValueError(f"expected (h, w, 3), got {px.shape}")
+    """uint8 (h, w, 3) RGB as binary PPM (P6)."""
+    px = check_image(pixels)
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (px.shape[1], px.shape[0]))
         fh.write(px.tobytes())
 
 
 def write_pgm(pixels, path):
-    """8-bit grayscale as binary PGM (P5)."""
-    px = np.ascontiguousarray(pixels, dtype=np.uint8)
-    if px.ndim != 2:
-        raise ValueError(f"expected a 2-d grayscale array, got shape {px.shape}")
+    """uint8 (h, w) grayscale as binary PGM (P5)."""
+    px = check_image(pixels, gray=True)
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (px.shape[1], px.shape[0]))
         fh.write(px.tobytes())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backend import active_backend
 from .config import serialize_config
-from .data import image_to_float
+from .data import check_image, image_to_float
 from .errors import DataFormatError
 from .models import STRIDE_PX, VARIANTS, WINDOW_PX, forward_scores, output_geometry
 
@@ -121,8 +121,8 @@ def render_heatmap(heatmap):
 
 def render_overlay(heatmap, source_pixels):
     """Nearest-neighbor upscale of the rendered grid to source dims,
-    blended half-and-half with the source luma."""
-    px = np.asarray(source_pixels, dtype=np.uint8)
+    blended half-and-half with the luma of the uint8 (h, w, 3) source."""
+    px = check_image(source_pixels)
     if px.shape[:2] != (heatmap.source_h, heatmap.source_w):
         raise ValueError(
             f"source is {px.shape[:2]}, heatmap was built from "
@@ -147,6 +147,7 @@ def benchmark_fps(model, height, width, n_frames=5, warmup=1):
         raise ValueError("n_frames must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
+    output_geometry(model.variant, height, width)
     rng = np.random.default_rng(0)
     frames = [
         rng.integers(0, 256, (height, width, 3), dtype=np.uint8)

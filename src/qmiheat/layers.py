@@ -69,11 +69,12 @@ def conv2d_forward(x, layer, pool=False, relu=False):
     dropping an odd last row and column; the numpy backend never holds the
     unpooled output.  With ``relu`` the (pooled) result is then rectified
     in place, which gives the bytes of a separate ``relu_infer``.  The
-    numpy backend multiplies patch matrices of whole images, or, on frames
-    too large for one, walks bands of output rows; there a stride-1
-    convolution with 16 or more input channels runs one matrix product
-    per kernel tap, which sums in another order, and any other runs one
-    per output row (see ``_convpy``).
+    numpy backend walks one loop over chunks of whole images or, on frames
+    too large for one image's patch matrix, bands of output rows.  A band
+    of a stride-1 convolution with 16 or more input channels runs one
+    matrix product per kernel tap, which sums in another order; any other
+    band runs one per output row, and a chunk one per image (see
+    ``_convpy``).
     """
     x = _as_f32_nchw(x)
     if x.shape[1] != layer.in_channels:

@@ -295,6 +295,15 @@ def test_bench_report_and_output_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"{field} must be" in captured.err
         assert captured.out == ""
+    # A frame size the window does not fit is named, with the window.
+    for argv, size, window in (
+        (["--width", "-5"], "1080x-5", 32),
+        (["--variant", "rf64", "--height", "40", "--width", "80"], "40x80", 64),
+    ):
+        assert run_cli(["bench", *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"input {size} smaller than the {window}px window" in captured.err
+        assert captured.out == ""
 
 
 def test_rank_command(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Packed dataset format, synthetic generator, portable image files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -122,13 +124,29 @@ def test_image_to_float_single_frame():
         image_to_float(np.zeros((6, 7), dtype=np.uint8))
 
 
-def test_image_to_float_rejects_frames_that_are_not_uint8():
-    """A cast would score a float frame of 0.7 as black; every other dtype
-    is refused, naming it."""
+def test_image_conversion_and_writers_reject_frames_that_are_not_uint8(tmp_path):
+    """A cast would score a float frame of 0.7 as black, or write it as
+    zeros; every other dtype is refused, naming it, and so is a frame of
+    the wrong shape, naming the shape."""
+    p = tmp_path / "out.img"
+    consumers = (
+        image_to_float,
+        lambda frame: write_ppm(frame, p),
+        lambda frame: write_pgm(frame[..., 0], p),
+    )
     for dtype in (np.float32, np.float64, np.int64, np.uint16, bool):
         frame = np.full((6, 7, 3), 0.7).astype(dtype)
-        with pytest.raises(ValueError, match=f"uint8 image, got dtype {np.dtype(dtype)}"):
-            image_to_float(frame)
+        for consume in consumers:
+            with pytest.raises(ValueError, match=f"uint8 image, got dtype {np.dtype(dtype)}"):
+                consume(frame)
+    for write, frame, form in (
+        (write_ppm, np.zeros((6, 7), dtype=np.uint8), r"\(h, w, 3\)"),
+        (write_pgm, np.zeros((6, 7, 3), dtype=np.uint8), r"\(h, w\)"),
+    ):
+        shape = re.escape(str(frame.shape))
+        with pytest.raises(ValueError, match=f"expected an {form} image, got shape {shape}"):
+            write(frame, p)
+    assert not p.exists()
 
 
 def test_synthetic_is_deterministic_and_balanced():

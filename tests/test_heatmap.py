@@ -121,6 +121,11 @@ def test_overlay_matches_source_dimensions():
     assert out.dtype == np.uint8
     with pytest.raises(ValueError):
         render_overlay(hm, _image(48, 65, seed=0))
+    # A float frame would be cast, its luma read near black.
+    with pytest.raises(ValueError, match="expected a uint8 image, got dtype float64"):
+        render_overlay(hm, src / 255.0)
+    with pytest.raises(ValueError, match=r"expected an \(h, w, 3\) image, got shape \(48, 64\)"):
+        render_overlay(hm, src[..., 0])
 
 
 def test_heatmap_file_round_trip(tmp_path):

@@ -128,6 +128,27 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
         x = rng.uniform(-0.5, 0.5, size=(1, 3, h, w)).astype(np.float32)
         _assert_matches_oracle_pooled_and_not(x, wt, b, stride, 0)
 
+    # Batches of five different images under a budget of two images' patch
+    # matrices run in chunks of 2, 2 and 1, pooled or not, so rows left in
+    # the buffer from an earlier chunk would show: stride 2 on odd sides,
+    # odd output height and width that the pool drops a row and a column
+    # of, and a 2x4 kernel with no padding.
+    for (c, h, w), (kh, kw), stride, pad, (oh, ow) in (
+        ((3, 9, 11), (3, 3), 2, 1, (5, 6)),
+        ((2, 7, 9), (3, 3), 1, 1, (7, 9)),
+        ((3, 8, 13), (2, 4), 1, 0, (7, 10)),
+    ):
+        ckk = c * kh * kw
+        monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 2 * ckk * oh * ow)
+        assert _convpy._row_strip(ckk, ow, oh) == oh
+        for rows, cols in ((oh, ow), (oh // 2 * 2, ow // 2 * 2)):
+            assert _convpy._image_chunk(ckk * rows * cols, 5) == 2
+        x = rng.uniform(-0.5, 0.5, size=(5, c, h, w)).astype(np.float32)
+        limit = np.sqrt(6.0 / ckk)
+        wt = rng.uniform(-limit, limit, size=(4, c, kh, kw)).astype(np.float32)
+        b = rng.uniform(-0.5, 0.5, size=4).astype(np.float32)
+        _assert_matches_oracle_pooled_and_not(x, wt, b, stride, pad)
+
 
 def _assert_matches_oracle_pooled_and_not(x, wt, b, stride, pad):
     layer = _layer(wt, bias=b, stride=stride, pad=pad)
