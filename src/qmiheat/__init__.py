@@ -6,12 +6,10 @@ training with the regularizer attached to the penultimate convolution,
 full-frame heatmap inference validated against a sliding-window oracle,
 and rank-based comparison of method accuracies across datasets.
 
-Convolution kernels run on the compiled extension whenever it built, and
-on the numpy implementation otherwise; nothing selects between them by
-hand.  :func:`active_backend` names the one in use.
+Everything runs on numpy alone; the convolutions are float32 BLAS matrix
+products.
 """
 
-from .backend import active_backend
 from .data import (
     PackedDataset,
     SynthSpec,
@@ -84,7 +82,6 @@ __all__ = [
     "SynthSpec",
     "TrainConfig",
     "TrainingDivergedError",
-    "active_backend",
     "average_ranks",
     "batch_potentials",
     "benchmark_fps",

@@ -1,4 +1,4 @@
-"""Numpy fallback for the convolution hot kernels.
+"""The convolution kernels, in numpy.
 
 Both passes run on float32 matrix products (BLAS sgemm), one chunk at a
 time.  The forward is one loop over units of work.  Each unit copies the
@@ -37,8 +37,6 @@ share a call, and stay within 1e-5 of the naive fixed-loop summation.
 """
 
 import numpy as np
-
-NAME = "numpy"
 
 # Patch-matrix budget per chunk of images or band of rows, in float32
 # elements (~1 MB).  At that size malloc serves every chunk from reused

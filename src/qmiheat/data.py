@@ -149,6 +149,8 @@ class SynthSpec:
             raise ValueError(f"size must be 32 or 64, got {self.size}")
         if self.count_per_class < 1:
             raise ValueError("count_per_class must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def generate_synthetic(spec):

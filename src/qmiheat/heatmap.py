@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .backend import active_backend
 from .config import serialize_config
 from .data import check_image, image_to_float
 from .errors import DataFormatError
@@ -64,7 +63,6 @@ class BenchReport:
     """Throughput measurement at one resolution."""
 
     variant: str
-    backend: str
     height: int
     width: int
     frames: int
@@ -161,7 +159,6 @@ def benchmark_fps(model, height, width, n_frames=5, warmup=1):
     wall = time.perf_counter() - t0
     return BenchReport(
         variant=model.variant,
-        backend=active_backend(),
         height=height,
         width=width,
         frames=n_frames,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
+from . import _convpy
 from ._convpy import maxpool2x2
 
 
@@ -66,15 +66,14 @@ def conv2d_forward(x, layer, pool=False, relu=False):
     """Cross-correlation plus bias over an NCHW batch.
 
     With ``pool`` the result is max-pooled 2x2/stride 2 in the same call,
-    dropping an odd last row and column; the numpy backend never holds the
-    unpooled output.  With ``relu`` the (pooled) result is then rectified
-    in place, which gives the bytes of a separate ``relu_infer``.  The
-    numpy backend walks one loop over chunks of whole images or, on frames
-    too large for one image's patch matrix, bands of output rows.  A band
-    of a stride-1 convolution with 16 or more input channels runs one
-    matrix product per kernel tap, which sums in another order; any other
-    band runs one per output row, and a chunk one per image (see
-    ``_convpy``).
+    dropping an odd last row and column; the unpooled output is never
+    held.  With ``relu`` the (pooled) result is then rectified in place,
+    which gives the bytes of a separate ``relu_infer``.  The forward walks
+    one loop over chunks of whole images or, on frames too large for one
+    image's patch matrix, bands of output rows.  A band of a stride-1
+    convolution with 16 or more input channels runs one matrix product per
+    kernel tap, which sums in another order; any other band runs one per
+    output row, and a chunk one per image (see ``_convpy``).
     """
     x = _as_f32_nchw(x)
     if x.shape[1] != layer.in_channels:
@@ -82,7 +81,7 @@ def conv2d_forward(x, layer, pool=False, relu=False):
             f"input has {x.shape[1]} channels, layer expects {layer.in_channels}"
         )
     layer.out_size(x.shape[2], x.shape[3])
-    return backend.conv2d_forward(
+    return _convpy.conv2d_forward(
         x, layer.kernel, layer.bias, layer.stride, layer.pad, pool, relu
     )
 
@@ -90,8 +89,8 @@ def conv2d_forward(x, layer, pool=False, relu=False):
 def conv2d_backward(x, layer, grad_out, input_grad=True):
     """Gradients w.r.t. input, kernel and bias given the forward input.
 
-    With ``input_grad`` false the input gradient is returned as None; the
-    numpy backend then does not compute it.
+    With ``input_grad`` false the input gradient is returned as None and
+    is not computed.
     """
     x = _as_f32_nchw(x)
     grad_out = _as_f32_nchw(grad_out)
@@ -99,7 +98,7 @@ def conv2d_backward(x, layer, grad_out, input_grad=True):
     expected = (x.shape[0], layer.out_channels, oh, ow)
     if grad_out.shape != expected:
         raise ValueError(f"grad_out shape {grad_out.shape}, expected {expected}")
-    return backend.conv2d_backward(
+    return _convpy.conv2d_backward(
         x, layer.kernel, layer.stride, layer.pad, grad_out, input_grad
     )
 

@@ -67,10 +67,6 @@ class NetworkSpec:
     def window_px(self):
         return WINDOW_PX[self.variant]
 
-    @property
-    def stride_px(self):
-        return STRIDE_PX[self.variant]
-
 
 @dataclass
 class OutputGeometry:
@@ -104,6 +100,8 @@ def build_model(variant, seed):
     start at zero.
     """
     plan = _architecture(variant)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     layers = []
     for shape, stride, pad, relu, pool in plan:

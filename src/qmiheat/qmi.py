@@ -45,14 +45,6 @@ class EmbeddingBatch:
             raise ValueError("embeddings must be finite")
         self.similarity = pairwise_similarity(self.y)
 
-    @property
-    def n(self):
-        return self.y.shape[0]
-
-    @property
-    def dim(self):
-        return self.y.shape[1]
-
 
 @dataclass
 class InformationPotentials:

@@ -39,6 +39,10 @@ class ScoreTable:
             raise ValueError("need at least 2 methods to rank")
         if len(self.datasets) < 1:
             raise ValueError("need at least 1 dataset")
+        for kind, names in (("method", self.methods), ("dataset", self.datasets)):
+            repeated = [n for i, n in enumerate(names) if n in names[:i]]
+            if repeated:
+                raise ValueError(f"repeated {kind} name {repeated[0]!r}")
         if not ((s >= 0.0) & (s <= 1.0)).all():
             raise ValueError("scores must lie in [0, 1]")
         self.scores = s

@@ -528,10 +528,21 @@ def test_zero_runs_is_a_usage_error(tmp_path, split_files, capsys):
     assert "--runs" in capsys.readouterr().err
 
 
-def test_unknown_flags_exit_1(capsys):
+def test_unknown_flags_exit_1(tmp_path, capsys):
     assert run_cli(["synth", "--out", "x.pids", "--shape", "7"]) == 1
     assert run_cli(["trian"]) == 1
     capsys.readouterr()
+    # A negative seed is named, not left to numpy's generator to refuse.
+    out = tmp_path / "x.pids"
+    for argv, seed in (
+        (["synth", "--out", str(out), "--seed", "-5"], -5),
+        (["bench", "--height", "32", "--width", "32", "--seed", "-1"], -1),
+    ):
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert f"qmiheat: error: seed must be non-negative, got {seed}" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

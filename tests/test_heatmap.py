@@ -192,7 +192,6 @@ def test_heatmap_file_rejects_corruption(tmp_path):
 def test_bench_report_round_trip_is_lossless():
     report = BenchReport(
         variant="rf64",
-        backend="compiled",
         height=1080,
         width=1920,
         frames=5,
@@ -201,9 +200,9 @@ def test_bench_report_round_trip_is_lossless():
     text = serialize_bench_report(report)
     fields = parse_config(text)
     assert list(fields) == [
-        "variant", "backend", "height", "width", "frames", "wall_time_s", "fps"
+        "variant", "height", "width", "frames", "wall_time_s", "fps"
     ]
-    assert fields["variant"] == "rf64" and fields["backend"] == "compiled"
+    assert fields["variant"] == "rf64"
     assert (int(fields["height"]), int(fields["width"])) == (1080, 1920)
     assert int(fields["frames"]) == 5
     assert float(fields["wall_time_s"]) == report.wall_time_s

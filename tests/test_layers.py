@@ -1,13 +1,10 @@
 """Layer kit: convolution, pooling, ReLU, SGD against literal references."""
 
-import re
-from pathlib import Path
-
 import numpy as np
 import pytest
 from conftest import central_difference, conv2d_oracle, relative_error
 
-from qmiheat import _convpy, backend
+from qmiheat import _convpy
 from qmiheat.layers import (
     ConvLayer,
     OptimizerState,
@@ -74,6 +71,19 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
         want = conv2d_oracle(x, wt, b, stride, pad)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-6
+
+    # At the default budgets, a 16-channel 24x200 frame runs the tap path
+    # in row bands, and rf32's stage 1 at batch 64 runs in image chunks
+    # with a short last one, pooled (16 x 16 outputs) or not.
+    assert _convpy._row_strip(16 * 9, 200, 24) < 24
+    assert _convpy._row_strip(16 * 9, 16, 16) == 16
+    assert 64 % _convpy._image_chunk(16 * 9 * 16 * 16, 64) != 0
+    for shape, oc in (((1, 16, 24, 200), 2), ((64, 16, 16, 16), 1)):
+        x = rng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
+        limit = np.sqrt(6.0 / (16 * 9))
+        wt = rng.uniform(-limit, limit, size=(oc, 16, 3, 3)).astype(np.float32)
+        b = rng.uniform(-0.5, 0.5, size=oc).astype(np.float32)
+        _assert_matches_oracle_pooled_and_not(x, wt, b, 1, 1)
 
     # Frames with 16 and 32 channels too large for one patch matrix run
     # the stride-1 tap path in row bands, pooled and not.  Under the band
@@ -161,6 +171,8 @@ def _assert_matches_oracle_pooled_and_not(x, wt, b, stride, pad):
     got = conv2d_forward(x, layer, pool=True)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-6
+    got = conv2d_forward(x, layer, pool=True, relu=True)
+    assert np.abs(got - np.maximum(want, 0.0)).max() <= 1e-6
 
 
 def test_relu_epilogue_equals_maximum_of_the_conv_bitwise(monkeypatch):
@@ -263,92 +275,6 @@ def test_conv_backward_without_input_gradient_returns_none_for_it():
         assert gx is not None and none is None
         assert gw_only.tobytes() == gw.tobytes()
         assert gb_only.tobytes() == gb.tobytes()
-
-
-def test_backends_agree_within_1e_5_on_forward_and_backward():
-    try:
-        from qmiheat import _convcore
-    except ImportError:
-        pytest.skip("compiled core not built")
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 3, 11, 13)).astype(np.float32)
-    wt = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-    b = rng.standard_normal(4).astype(np.float32)
-    # A frame wide enough to be gathered in several row strips; small
-    # values keep the float32 sums of its weight gradient well inside 1e-5.
-    wide = (
-        rng.uniform(-0.01, 0.01, (1, 16, 24, 200)).astype(np.float32),
-        rng.standard_normal((8, 16, 3, 3)).astype(np.float32),
-        rng.standard_normal(8).astype(np.float32),
-    )
-    assert _convpy._row_strip(16 * 3 * 3, 200, 24) < 24
-    # rf32's stage 1 at batch 64, which numpy runs in several image chunks
-    # with a short last one.
-    batch = (
-        rng.uniform(-0.001, 0.001, (64, 16, 16, 16)).astype(np.float32),
-        rng.uniform(-0.3, 0.3, (16, 16, 3, 3)).astype(np.float32),
-        rng.standard_normal(16).astype(np.float32),
-    )
-    assert 64 % _convpy._image_chunk(16 * 3 * 3 * 16 * 18, 64) != 0
-    for x, wt, b in ((x, wt, b), wide, batch):
-        outs, grads = [], []
-        for core in (_convpy, _convcore):
-            out = core.conv2d_forward(x, wt, b, 1, 1)
-            grads.append(core.conv2d_backward(x, wt, 1, 1, np.ones_like(out)))
-            outs.append(out)
-        assert np.abs(outs[0] - outs[1]).max() <= 1e-5
-        for a, bb in zip(grads[0], grads[1]):
-            assert np.abs(a - bb).max() <= 1e-5
-        for relu in (False, True):
-            pooled = [
-                fwd(x, wt, b, 1, 1, pool=True, relu=relu)
-                for fwd in (_convpy.conv2d_forward, backend.conv2d_forward)
-            ]
-            assert pooled[0].shape == pooled[1].shape == (
-                x.shape[0], wt.shape[0], x.shape[2] // 2, x.shape[3] // 2
-            )
-            assert np.abs(pooled[0] - pooled[1]).max() <= 1e-5
-            if relu:
-                assert pooled[1].min() >= 0.0
-
-
-_CORE_SRC = Path(__file__).resolve().parents[1] / "src" / "qmiheat"
-_CYTHON_MARK = "             # <<<<<<<<<<<<<<"
-
-
-def test_compiled_core_c_is_generated_from_its_pyx_with_the_numpy_strip_budget():
-    """The core builds from the committed C without Cython, so a .pyx edit
-    reaches the build only once the C is regenerated from it.  Cython's C
-    quotes each source line it compiles under a ``"qmiheat/_convcore.pyx":N``
-    comment; every quote must equal line N of the .pyx."""
-    pyx_text = (_CORE_SRC / "_convcore.pyx").read_text(encoding="ascii")
-    c_text = (_CORE_SRC / "_convcore.c").read_text(encoding="utf-8")
-    pyx = pyx_text.splitlines()
-    quoted, line_no = {}, None
-    for line in c_text.splitlines():
-        header = re.fullmatch(r'\s*/\* "qmiheat/_convcore\.pyx":(\d+)', line)
-        if header:
-            line_no = int(header.group(1))
-        elif line_no is not None and line.endswith(_CYTHON_MARK):
-            quoted[line_no] = line[len(" * ") : -len(_CYTHON_MARK)]
-            line_no = None
-    assert len(quoted) > 100
-    stale = {
-        n: (text, pyx[n - 1].rstrip() if n <= len(pyx) else None)
-        for n, text in quoted.items()
-        if n > len(pyx) or text != pyx[n - 1].rstrip()
-    }
-    assert not stale, (
-        f"_convcore.c quotes lines that differ from _convcore.pyx (line: "
-        f"(C, pyx)) {stale}; regenerate it with `cython src/qmiheat/_convcore.pyx`"
-    )
-
-    pyx_budget = re.search(r"^cdef Py_ssize_t _STRIP_BUDGET = (\d+)$", pyx_text, re.M)
-    c_budget = re.search(
-        r"__pyx_v_7qmiheat_9_convcore__STRIP_BUDGET = (0x[0-9A-F]+|\d+);", c_text
-    )
-    assert int(pyx_budget.group(1)) == _convpy._STRIP_BUDGET
-    assert int(c_budget.group(1), 0) == _convpy._STRIP_BUDGET
 
 
 def test_strided_conv_geometry():

@@ -181,6 +181,10 @@ def test_score_table_validation():
         _table([[-0.1], [0.5]])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         _table([[float("nan")], [0.5]])
+    with pytest.raises(ValueError, match="repeated method name 'a'"):
+        _table([[0.5], [0.6], [0.7]], m_names=["a", "b", "a"])
+    with pytest.raises(ValueError, match="repeated dataset name 'x'"):
+        _table([[0.5, 0.6], [0.7, 0.8]], d_names=["x", "x"])
 
 
 def test_load_score_table(tmp_path):
@@ -222,6 +226,11 @@ def test_load_score_table_errors(tmp_path):
     with pytest.raises(DataFormatError, match=r"\[0, 1\]"):
         load_score_table(out_of_range)
 
+    twice = tmp_path / "twice.csv"
+    twice.write_text("method,x,y\na,0.5,0.6\na,0.7,0.8\n")
+    with pytest.raises(DataFormatError, match="twice.csv: repeated method name 'a'"):
+        load_score_table(twice)
+
 
 def test_format_report_wording():
     t = _table(
@@ -252,26 +261,35 @@ def test_rank_plot_shape_and_ink():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats takes over a second to import, and nothing here needs it."""
-    code = "import sys, qmiheat; print('scipy.stats' in sys.modules)"
+    """Nothing in the package uses scipy, so importing it loads none of it."""
+    code = (
+        "import sys, qmiheat\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_rank_methods_runs_where_scipy_cannot_be_imported():
-    """Ranking needs numpy alone; only the optional compiled core uses scipy."""
+    """Ranking, training and dense scoring need numpy alone."""
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from qmiheat import TrainConfig, fully_conv_inference, generate_synthetic_split, train\n"
         "from qmiheat.ranking import ScoreTable, rank_methods\n"
         "t = ScoreTable(['a', 'b', 'c'], ['x', 'y'], [[0.5, 0.9], [0.5, 0.1], [0.7, 0.9]])\n"
-        "print(rank_methods(t).mean_ranks.tolist())"
+        "print(rank_methods(t).mean_ranks.tolist())\n"
+        "train_set, test_set = generate_synthetic_split(32, 4, 2, seed=1)\n"
+        "model, history = train(TrainConfig(epochs=1, batch_size=4), train_set, test_set)\n"
+        "frame = np.random.default_rng(2).integers(0, 256, (48, 64, 3), dtype=np.uint8)\n"
+        "print(fully_conv_inference(model, frame).grid.shape)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[2.0, 2.75, 1.25]\n"
+    assert proc.stdout == "[2.0, 2.75, 1.25]\n(2, 3, 2)\n"
