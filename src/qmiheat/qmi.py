@@ -56,19 +56,10 @@ class InformationPotentials:
     class_counts: tuple
 
 
-def euclidean_similarity(a, b):
-    """Width-free similarity 1 / (1 + squared Euclidean distance).
-
-    Equals 1 for identical vectors and decays toward 0 with distance; needs
-    no bandwidth parameter.
-    """
-    a, b = _check_pair(a, b)
-    d2 = float(np.dot(a - b, a - b))
-    return 1.0 / (1.0 + d2)
-
-
 def pairwise_similarity(y):
-    """N x N Euclidean-similarity matrix over the rows of ``y``."""
+    """N x N matrix of the width-free similarity 1 / (1 + ||a - b||^2)
+    over the rows of ``y``: 1 for identical rows, decaying toward 0 with
+    distance, with no bandwidth parameter."""
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     return 1.0 / (1.0 + _pairwise_sq_dists(y))
 
@@ -176,14 +167,6 @@ def _pairwise_sq_dists(y):
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
-
-
-def _check_pair(a, b):
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
 
 
 def _check_binary(labels):

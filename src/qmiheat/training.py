@@ -8,7 +8,11 @@ skipped entirely, so a zero-eta run is bit-identical to a build without
 the regularizer.
 """
 
+import ctypes
+import glob
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -161,9 +165,35 @@ def batch_gradients(model, x, labels, loss_kind, eta):
     return grads, float(j_class), float(j_mi)
 
 
+@contextmanager
+def _one_blas_thread():
+    """Runs the block on one BLAS thread, then restores the thread count.
+
+    OpenBLAS sums some products in another order on more threads.  The
+    count is process-wide.  Only the OpenBLAS in numpy's wheels
+    (``numpy.libs``) is pinned, and only when it runs more threads; under
+    any other BLAS, training bytes hold only at a fixed thread count.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    found = [ctypes.CDLL(lib) for lib in glob.glob(os.path.join(libs, "*openblas*"))]
+    found = [b for b in found if hasattr(b, "scipy_openblas_set_num_threads64_")]
+    threads = found[0].scipy_openblas_get_num_threads64_() if found else 1
+    if threads == 1:
+        yield
+        return
+    found[0].scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        found[0].scipy_openblas_set_num_threads64_(threads)
+
+
+@_one_blas_thread()
 def train(config, train_set, test_set):
     """Full training run; returns (model, history).
 
+    The run holds the process's BLAS at one thread (see
+    ``_one_blas_thread``), so its bytes do not depend on the thread count.
     Raises TrainingDivergedError, naming the epoch and the batch, when a
     batch scores non-finite or an epoch ends with non-finite parameters.
     """

@@ -393,6 +393,19 @@ def test_heatmap_on_an_image_smaller_than_the_window_names_it(tmp_path, capsys):
     assert captured.out == ""
     assert f"{img_p}: input 16x20 smaller than the 32px window" in captured.err
     assert not out_p.exists()
+    # An output that cannot be written fails before any is: a directory as
+    # --overlay, or a --render whose directory does not exist.
+    write_ppm(np.zeros((32, 32, 3), dtype=np.uint8), img_p)
+    missing = tmp_path / "nodir" / "r.pgm"
+    for flag, path, why in (
+        ("--overlay", tmp_path, "output is a directory"),
+        ("--render", missing, "output directory does not exist"),
+    ):
+        argv = ["heatmap", "--model", str(model_p), "--image", str(img_p)]
+        code = run_cli(argv + ["--out", str(out_p), flag, str(path)])
+        assert code == 2
+        assert f"{path}: {why}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.vggh", "tiny.ppm"]
 
 
 def test_missing_input_file_is_a_data_error(tmp_path, capsys):

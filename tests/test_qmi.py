@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
-from conftest import central_difference, potentials_oracle, relative_error
+from conftest import (
+    central_difference,
+    kernel_oracle,
+    potentials_oracle,
+    relative_error,
+)
 
 from qmiheat.qmi import (
     EmbeddingBatch,
     batch_potentials,
-    euclidean_similarity,
     information_potentials,
     pairwise_similarity,
     quadratic_mutual_information,
@@ -25,10 +29,13 @@ def _random_batch(rng, n, d):
 
 
 def test_similarity_hand_values():
-    assert euclidean_similarity([0.0], [0.0]) == 1.0
-    assert euclidean_similarity([0.0], [1.0]) == 0.5
+    k = pairwise_similarity([[0.0], [0.0], [1.0]])
+    assert k[0, 1] == 1.0
+    assert k[0, 2] == kernel_oracle([0.0], [1.0]) == 0.5
     # distance^2 = 25, plus 1
-    assert euclidean_similarity([0.0, 0.0], [3.0, 4.0]) == pytest.approx(1.0 / 26.0)
+    k = pairwise_similarity([[0.0, 0.0], [3.0, 4.0]])
+    assert k[0, 1] == pytest.approx(1.0 / 26.0)
+    assert kernel_oracle([0.0, 0.0], [3.0, 4.0]) == pytest.approx(1.0 / 26.0)
 
 
 def test_pairwise_matrix_basics():
@@ -40,7 +47,7 @@ def test_pairwise_matrix_basics():
     k = pairwise_similarity(y)
     for i in range(5):
         for j in range(5):
-            assert k[i, j] == pytest.approx(euclidean_similarity(y[i], y[j]), abs=1e-12)
+            assert k[i, j] == pytest.approx(kernel_oracle(y[i], y[j]), abs=1e-12)
     assert np.allclose(k, k.T)
     assert np.array_equal(np.diag(k), np.ones(5))
 

@@ -1,11 +1,15 @@
 """Training loop, experiment protocol, run records."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from conftest import NON_DEFAULT_CONFIG
 
+import qmiheat
 from qmiheat.config import parse_config, serialize_config
 from qmiheat.data import SynthSpec, generate_synthetic, generate_synthetic_split, to_float
 from qmiheat.errors import DataFormatError, TrainingDivergedError
@@ -335,6 +339,32 @@ def test_train_is_deterministic(tiny_split):
     assert h1.j_class == h2.j_class
     assert h1.j_mi == h2.j_mi
     assert h1.test_accuracy == h2.test_accuracy
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count():
+    # Unpinned, two OpenBLAS threads sum a batch-64 kernel-gradient product
+    # in another order than one, and this run's parameters differ.
+    script = (
+        "import hashlib\n"
+        "from qmiheat.data import generate_synthetic_split\n"
+        "from qmiheat.models import parameters\n"
+        "from qmiheat.training import TrainConfig, train\n"
+        "tr, te = generate_synthetic_split(32, 64, 4, seed=0)\n"
+        "model, _ = train(TrainConfig(batch_size=64, epochs=1, eta=0.0), tr, te)\n"
+        "blob = b''.join(p.tobytes() for p in parameters(model))\n"
+        "print(hashlib.sha256(blob).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(qmiheat.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_cross_entropy_loss_kind_trains(tiny_split):
