@@ -210,11 +210,9 @@ def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
     """Input, kernel and bias gradients; with ``input_grad`` false the input
     gradient is None and not computed; the kernel gradient's bytes are the same.
 
-    The input gradient is ``conv2d_forward`` of the output gradient,
-    dilated by the stride, with the flipped kernel, its in and out channels
-    swapped.  A square stride-1 kernel with pad < k pads it by k - 1 - pad
-    in that call, 6-11% faster than placing it in a zero array of the
-    padded size, as every other case does.
+    The input gradient is ``conv2d_forward``, at stride 1 and pad 0, of
+    the output gradient dilated by the stride into zeros k - 1 larger than
+    the input, with the flipped kernel, its in and out channels swapped.
     """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
@@ -222,12 +220,8 @@ def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
     grad_b = grad_out.sum(axis=(0, 2, 3), dtype=np.float32)
     # The input gradient first, and each chunk's buffers freed before the
     # next's: otherwise a training epoch page-faulted 2-4x as often.
-    w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    zeros = np.zeros(ic, dtype=np.float32)
     grad_x = None
-    if input_grad and stride == 1 and kh == kw and pad < kh:
-        grad_x = conv2d_forward(grad_out, w_flip, zeros, 1, kh - 1 - pad)
-    elif input_grad:
+    if input_grad:
         # Output cell i lands at i*stride + k - 1 - pad per axis; only a pad
         # of at least k drops any, those whose windows hold only padding.
         dh, dw = h + kh - 1, wd + kw - 1
@@ -235,7 +229,8 @@ def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
         src_r, dst_r = _landing(kh - 1 - pad, oh, stride, dh)
         src_c, dst_c = _landing(kw - 1 - pad, ow, stride, dw)
         dilated[:, :, dst_r, dst_c] = grad_out[:, :, src_r, src_c]
-        grad_x = conv2d_forward(dilated, w_flip, zeros, 1, 0)
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        grad_x = conv2d_forward(dilated, w_flip, np.zeros(ic, dtype=np.float32), 1, 0)
     hp, wp = h + 2 * pad, wd + 2 * pad
     # At stride 1 each output row is wp wide; the columns at or past ow
     # read across the row end and get zero gradient.

@@ -165,27 +165,39 @@ def batch_gradients(model, x, labels, loss_kind, eta):
     return grads, float(j_class), float(j_mi)
 
 
+def _bundled_openblas():
+    """(get, set) thread-count functions of the OpenBLAS in numpy's wheel (in
+    ``numpy.libs`` or macOS's ``numpy/.dylibs``; numpy 2's symbols have a
+    ``scipy_`` prefix), or None under any other BLAS."""
+    root = os.path.dirname(np.__file__)
+    libs = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+    for path in sorted(libs + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas_", "openblas_"):
+            get, put = (f"{prefix}{op}_num_threads64_" for op in ("get", "set"))
+            if hasattr(lib, put):
+                return getattr(lib, get), getattr(lib, put)
+    return None
+
+
 @contextmanager
 def _one_blas_thread():
     """Runs the block on one BLAS thread, then restores the thread count.
 
     OpenBLAS sums some products in another order on more threads.  The
-    count is process-wide.  Only the OpenBLAS in numpy's wheels
-    (``numpy.libs``) is pinned, and only when it runs more threads; under
+    count is process-wide.  Only numpy's bundled OpenBLAS is pinned; under
     any other BLAS, training bytes hold only at a fixed thread count.
     """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    found = [ctypes.CDLL(lib) for lib in glob.glob(os.path.join(libs, "*openblas*"))]
-    found = [b for b in found if hasattr(b, "scipy_openblas_set_num_threads64_")]
-    threads = found[0].scipy_openblas_get_num_threads64_() if found else 1
+    found = _bundled_openblas()
+    threads = found[0]() if found else 1
     if threads == 1:
         yield
         return
-    found[0].scipy_openblas_set_num_threads64_(1)
+    found[1](1)
     try:
         yield
     finally:
-        found[0].scipy_openblas_set_num_threads64_(threads)
+        found[1](threads)
 
 
 @_one_blas_thread()

@@ -385,8 +385,9 @@ def test_accept_8_bench_stability():
 
 def test_accept_9_training_is_byte_deterministic(tmp_path):
     """Two identical train invocations in one process write byte-identical
-    files.  Training runs on one BLAS thread, so the bytes do not depend on
-    the process's thread count either (see test_training)."""
+    files.  Training pins numpy's bundled OpenBLAS to one thread, so there
+    the bytes do not depend on the process's thread count either (see
+    test_training)."""
     train_set, test_set = generate_synthetic_split(32, 64, 16, seed=5)
     train_p, test_p = tmp_path / "train.pids", tmp_path / "test.pids"
     write_packed(train_set, train_p)

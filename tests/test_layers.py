@@ -231,8 +231,8 @@ def test_conv_gradients_match_finite_differences(monkeypatch):
         ((2, 4, 2, 2), (2, 4, 2, 2), 1, 0),
         # a pad as wide as the kernel: border outputs see only padding
         ((1, 2, 4, 5), (3, 2, 1, 1), 1, 1),
-        # the input gradient's explicit dilated placement: a non-square
-        # kernel, and a stride-2 pad as wide as the kernel
+        # a non-square kernel, and a stride-2 pad as wide as the kernel,
+        # whose first output cells land outside the input gradient
         ((2, 2, 7, 9), (3, 2, 2, 3), 1, 1),
         ((2, 2, 7, 9), (3, 2, 2, 2), 2, 2),
         # under the budget set below, five images in chunks of 2, 2 and 1

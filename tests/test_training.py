@@ -21,6 +21,7 @@ from qmiheat.training import (
     ExperimentSummary,
     RunHistory,
     TrainConfig,
+    _bundled_openblas,
     batch_gradients,
     config_from_mapping,
     config_to_mapping,
@@ -341,6 +342,11 @@ def test_train_is_deterministic(tiny_split):
     assert h1.test_accuracy == h2.test_accuracy
 
 
+@pytest.mark.skipif(
+    _bundled_openblas() is None,
+    reason="numpy does not use a bundled OpenBLAS; training bytes then hold "
+    "only at a fixed BLAS thread count",
+)
 def test_train_bytes_do_not_depend_on_the_blas_thread_count():
     # Unpinned, two OpenBLAS threads sum a batch-64 kernel-gradient product
     # in another order than one, and this run's parameters differ.
