@@ -3,7 +3,9 @@
 Both passes run on float32 matrix products (BLAS sgemm), one chunk at a
 time.  The forward is one loop over units of work.  Each unit copies the
 input rows it reads into one zero-bordered buffer, so the batch is never
-padded as a whole.  A unit is a chunk of whole images whose patch
+padded as a whole; at pad 0 a chunk of whole images, such as the 2x2
+head's or an input gradient's, takes its patches straight from the
+input.  A unit is a chunk of whole images whose patch
 matrices stay within ``_STRIP_BUDGET``, or, when one image's patches
 alone exceed it, as for full-HD frames, a band of one image's output
 rows.  At stride 1 with 16 or more input channels a band runs one GEMM
@@ -96,14 +98,14 @@ def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
     run of rows*wp floats at ki*wp + kj, a view, not a copy.  The
     accumulator's columns at or past ow read across the row end and are
     dropped.  Otherwise ``strip`` rows make a band, and any unit's patches
-    are copied from a strided view of the buffer, in one copy, into one
-    block allocated per call.  A chunk then runs one GEMM per image, and a
-    band one per output row, each on a contiguous patch matrix.  For
-    rf32's stage 0 (oc = 16, K = 27), one BLAS thread, OpenBLAS ran the
-    (16 x 27) @ (27 x N) product at 52-54 GFLOP/s for N = 480, 62 for 960,
-    66 for 1920 (one 1080p row), 45-58 for 3840 and 7680 (2- and 4-row
-    GEMMs) and 33-34 for 15360; nine tap copies in place of the one copy
-    took 7-10% longer on that stage.
+    are copied from a strided view of the buffer, or at pad 0 of a chunk's
+    images, in one copy, into one block allocated per call.  A chunk then
+    runs one GEMM per image, and a band one per output row, each on a
+    contiguous patch matrix.  For rf32's stage 0 (oc = 16, K = 27), one
+    BLAS thread, OpenBLAS ran the (16 x 27) @ (27 x N) product at 52-54
+    GFLOP/s for N = 480, 62 for 960, 66 for 1920 (one 1080p row), 45-58
+    for 3840 and 7680 (2- and 4-row GEMMs) and 33-34 for 15360; nine tap
+    copies in place of the one copy took 7-10% longer on that stage.
 
     Every unit's product, read as (images, oc, rows, ow), is pooled, then
     biased and, with ``relu``, rectified in a temporary of its own layout,
@@ -134,8 +136,11 @@ def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
         taps = stride == 1 and c >= _TAP_MIN_CHANNELS
         imgs, rows, per = 1, _tap_rows(oc, wp, oh, pool) if taps else strip, 1
     rows_in = (rows - 1) * stride + kh
-    buf = np.zeros((imgs, c, rows_in * wp + kw - 1), dtype=np.float32)
-    grid = buf[:, :, : rows_in * wp].reshape(imgs, c, rows_in, wp)
+    # At pad 0 a chunk of whole images takes its patches straight from x.
+    direct = pad == 0 and strip >= oh
+    if not direct:
+        buf = np.zeros((imgs, c, rows_in * wp + kw - 1), dtype=np.float32)
+        grid = buf[:, :, : rows_in * wp].reshape(imgs, c, rows_in, wp)
     if taps:
         (t0, off0), *rest = [
             (np.ascontiguousarray(w[:, :, ki, kj]), ki * wp + kj)
@@ -147,27 +152,29 @@ def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
     else:
         w_mat = w.reshape(oc, ckk)
         # block[i, g] is the (K, per*ow) patch matrix of one GEMM: its entry
-        # (ch, ki, kj, r, j) is grid cell (i, ch, (g*per + r)*stride + ki,
+        # (ch, ki, kj, r, j) is src cell (i, ch, (g*per + r)*stride + ki,
         # j*stride + kj), so one copy from this view fills every tap.
-        si, sc, sr, sj = grid.strides
+        src = x if direct else grid
+        si, sc, sr, sj = src.strides
         patches = np.lib.stride_tricks.as_strided(
-            grid,
-            (imgs, rows // per, c, kh, kw, per, ow),
+            src,
+            (src.shape[0], rows // per, c, kh, kw, per, ow),
             (si, per * stride * sr, sc, sr, sj, stride * sr, stride * sj),
             writeable=False,
         )
-        block = np.empty(patches.shape, dtype=np.float32)
+        block = np.empty((imgs, *patches.shape[1:]), dtype=np.float32)
     bias = b.reshape(oc, 1, 1)
     for i0 in range(0, n, imgs):
         i1 = min(i0 + imgs, n)
         u = i1 - i0
         for r0 in range(0, oh, rows):
             m = min(rows, oh - r0)
-            lo = r0 * stride - pad
-            top, end = max(lo, 0), min(lo + (m - 1) * stride + kh, h)
-            grid[:u, :, : top - lo] = 0
-            grid[:u, :, top - lo : end - lo, pad : pad + wd] = x[i0:i1, :, top:end]
-            grid[:u, :, end - lo :] = 0
+            if not direct:
+                lo = r0 * stride - pad
+                top, end = max(lo, 0), min(lo + (m - 1) * stride + kh, h)
+                grid[:u, :, : top - lo] = 0
+                grid[:u, :, top - lo : end - lo, pad : pad + wd] = x[i0:i1, :, top:end]
+                grid[:u, :, end - lo :] = 0
             if taps:
                 span = m * wp
                 a, p = acc[:, :span], tmp[:, :span]
@@ -178,7 +185,8 @@ def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
                 res = a.reshape(1, oc, m, wp)[..., :ow]
             else:
                 g = m // per
-                block[:u, :g] = patches[:u, :g]
+                first = i0 if direct else 0
+                block[:u, :g] = patches[first : first + u, :g]
                 prod = np.matmul(w_mat, block[:u, :g].reshape(u * g, ckk, per * ow))
                 res = prod.reshape(u, g, oc, -1).swapaxes(1, 2).reshape(u, oc, m, ow)
             if pool:

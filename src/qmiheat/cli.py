@@ -205,6 +205,7 @@ def _bench_model(args):
 
 
 def _cmd_bench(args):
+    _check_outputs(args.out)
     report = benchmark_fps(
         _bench_model(args),
         args.height,
@@ -221,6 +222,7 @@ def _cmd_bench(args):
 
 
 def _cmd_rank(args):
+    _check_outputs(args.plot)
     table = load_score_table(args.table)
     if not 0 <= args.control < len(table.methods):
         raise ValueError(f"--control {args.control} out of range")

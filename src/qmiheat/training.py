@@ -8,6 +8,7 @@ skipped entirely, so a zero-eta run is bit-identical to a build without
 the regularizer.
 """
 
+import contextvars
 import ctypes
 import glob
 import math
@@ -35,6 +36,11 @@ from .models import (
 from .qmi import EmbeddingBatch, batch_potentials, regularizer_gradient, regularizer_loss
 
 _EVAL_BATCH = 64
+
+# Images per shard of a training batch.  The shards' forward and backward
+# passes run on the worker pool; a batch of at most this many is one shard
+# and trains with the bytes of a whole-batch pass.
+_SHARD = 32
 
 
 @dataclass
@@ -141,28 +147,73 @@ class ExperimentSummary:
     std: float
 
 
-def batch_gradients(model, x, labels, loss_kind, eta):
+def batch_gradients(model, x, labels, loss_kind, eta, pool=None):
     """One batch's parameter gradients and loss values.
 
     Returns (grads, j_class, j_mi) with grads ordered as parameters().
     Raises TrainingDivergedError when a score is not finite.
+
+    The batch runs as ``_SHARD``-image shards, on ``pool`` when one is
+    given.  The forward works image by image, so the shards' scores and
+    embeddings are the whole batch's bytes, and the loss and the
+    regularizer see the whole batch.  Each shard backpropagates its rows
+    of the loss gradient, and the shards' gradients are summed in shard
+    order, so their bytes do not depend on the pool or its size.
     """
-    scores, embeddings, caches = forward_training(model, x)
+    shards = [slice(i, i + _SHARD) for i in range(0, x.shape[0], _SHARD)]
+    passes = _map(pool, lambda s: forward_training(model, x[s]), shards)
+    scores = np.concatenate([p[0] for p in passes])
     if not np.isfinite(scores).all():
         raise TrainingDivergedError("non-finite scores")
     j_class, grad_scores = LOSSES[loss_kind](scores, labels)
     j_mi = 0.0
     grad_embedding = None
     if eta > 0.0:
+        embeddings = np.concatenate([p[1] for p in passes])
         batch = EmbeddingBatch(y=embeddings.astype(np.float64), labels=labels)
         j_mi = regularizer_loss(batch_potentials(batch))
         grad_embedding = eta * regularizer_gradient(batch)
-    per_layer = backprop(model, caches, grad_scores, grad_embedding)
-    grads = []
-    for gk, gb in per_layer:
-        grads.append(gk)
-        grads.append(gb)
+
+    def backward(k):
+        s = shards[k]
+        g_emb = None if grad_embedding is None else grad_embedding[s]
+        per_layer = backprop(model, passes[k][2], grad_scores[s], g_emb)
+        return [g for pair in per_layer for g in pair]
+
+    grads, *later = _map(pool, backward, range(len(shards)))
+    for shard in later:
+        for total, g in zip(grads, shard):
+            total += g
     return grads, float(j_class), float(j_mi)
+
+
+def _map(pool, fn, items):
+    """[fn(item) for item in items]; on ``pool``, each call runs in a copy
+    of the caller's context, so ``np.errstate`` holds in the workers."""
+    if pool is None:
+        return [fn(item) for item in items]
+    calls = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+    return [call.result() for call in calls]
+
+
+@contextmanager
+def _workers(tasks):
+    """A pool of min(tasks, CPUs this process may run on) threads, or None
+    when that is one; its threads are joined on exit."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    size = min(tasks, cpus)
+    if size < 2:
+        yield None
+        return
+    # Imported here: it imports logging, which costs a process that only
+    # scores frames ~5 ms of start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(size, thread_name_prefix="qmiheat") as pool:
+        yield pool
 
 
 def _bundled_openblas():
@@ -204,8 +255,11 @@ def _one_blas_thread():
 def train(config, train_set, test_set):
     """Full training run; returns (model, history).
 
-    The run holds the process's BLAS at one thread (see
-    ``_one_blas_thread``), so its bytes do not depend on the thread count.
+    Each batch's shards, and the test set's batches, run on a pool of up
+    to one worker thread per CPU (see ``batch_gradients``), created for
+    the run and shut down before it returns.  The run holds the process's
+    BLAS at one thread (see ``_one_blas_thread``), so its bytes depend
+    neither on the CPU count nor on the BLAS thread count.
     Raises TrainingDivergedError, naming the epoch and the batch, when a
     batch scores non-finite or an epoch ends with non-finite parameters.
     """
@@ -213,6 +267,13 @@ def train(config, train_set, test_set):
         raise ValueError("datasets must be non-empty")
     check_window(config.variant, train_set, "train images")
     check_window(config.variant, test_set, "test images")
+    n = len(train_set)
+    tasks = max(_count(min(config.batch_size, n), _SHARD), _count(len(test_set), _EVAL_BATCH))
+    with _workers(tasks) as pool:
+        return _train(config, train_set, test_set, pool)
+
+
+def _train(config, train_set, test_set, pool):
     model = build_model(config.variant, config.seed)
     y_train = train_set.labels
     n = len(train_set)
@@ -232,7 +293,7 @@ def train(config, train_set, test_set):
             x = to_float(train_set, idx)
             try:
                 grads, j_class, j_mi = batch_gradients(
-                    model, x, y_train[idx], config.loss_kind, config.eta
+                    model, x, y_train[idx], config.loss_kind, config.eta, pool
                 )
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
@@ -248,17 +309,20 @@ def train(config, train_set, test_set):
         history.epochs.append(epoch)
         history.j_class.append(class_total / n)
         history.j_mi.append(sum(mi_values) / len(mi_values))
-        history.test_accuracy.append(_accuracy(model, test_set))
+        history.test_accuracy.append(_accuracy(model, test_set, pool))
     return model, history
 
 
+@_one_blas_thread()
 def evaluate(model, dataset):
     """Fraction of samples whose 2-channel argmax matches the label;
-    ValueError if the images are not the model's window."""
+    ValueError if the images are not the model's window.  Its batches run
+    on up to one worker thread per CPU."""
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
     check_window(model.variant, dataset, "images")
-    return _accuracy(model, dataset)
+    with _workers(_count(len(dataset), _EVAL_BATCH)) as pool:
+        return _accuracy(model, dataset, pool)
 
 
 def check_window(variant, dataset, what):
@@ -272,14 +336,19 @@ def check_window(variant, dataset, what):
         )
 
 
-def _accuracy(model, dataset):
-    correct = 0
-    for start in range(0, len(dataset), _EVAL_BATCH):
+def _count(n, size):
+    """Pieces of at most ``size`` that n items make."""
+    return -(-n // size)
+
+
+def _accuracy(model, dataset, pool):
+    def correct(start):
         batch = slice(start, start + _EVAL_BATCH)
         scores = forward_scores(model, to_float(dataset, batch))
         pred = np.argmax(scores.reshape(scores.shape[0], 2), axis=1)
-        correct += int(np.sum(pred == dataset.labels[batch]))
-    return correct / len(dataset)
+        return int(np.sum(pred == dataset.labels[batch]))
+
+    return sum(_map(pool, correct, range(0, len(dataset), _EVAL_BATCH))) / len(dataset)
 
 
 def repeated_experiment(config, train_set, test_set, k=5, on_run=None):

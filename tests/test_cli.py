@@ -322,6 +322,25 @@ def test_rank_command(tmp_path, capsys):
     assert _pgm_dims(plot_p) == (2 * 20 + 2 * 24, 480)
 
 
+def test_bench_and_rank_check_their_output_before_they_compute(tmp_path, capsys):
+    # A directory, or a file whose directory does not exist, as --out or
+    # --plot exits 2 naming it, before any report is printed or file written.
+    table_p = tmp_path / "scores.csv"
+    table_p.write_text("method,a,b\nx,0.5,0.7\ny,0.6,0.8\n")
+    missing = tmp_path / "nodir" / "out"
+    for path, why in ((tmp_path, "output is a directory"),
+                      (missing, "output directory does not exist")):
+        for argv in (
+            ["bench", "--height", "32", "--width", "32", "--frames", "1", "--out", str(path)],
+            ["rank", "--table", str(table_p), "--plot", str(path)],
+        ):
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert f"{path}: {why}" in captured.err
+            assert captured.out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]
+
+
 def test_rank_control_out_of_range_is_usage_error(tmp_path, capsys):
     table_p = tmp_path / "scores.csv"
     table_p.write_text("method,a\nx,0.5\ny,0.6\n")

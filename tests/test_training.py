@@ -3,6 +3,9 @@
 import os
 import subprocess
 import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -14,9 +17,10 @@ from qmiheat.config import parse_config, serialize_config
 from qmiheat.data import SynthSpec, generate_synthetic, generate_synthetic_split, to_float
 from qmiheat.errors import DataFormatError, TrainingDivergedError
 from qmiheat.losses import CROSS_ENTROPY, HINGE
-from qmiheat.models import build_model, forward_training, parameters
+from qmiheat.models import backprop, build_model, forward_training, parameters
 from qmiheat.layers import OptimizerState, sgd_momentum_step
 from qmiheat.losses import LOSSES
+from qmiheat.qmi import EmbeddingBatch, batch_potentials, regularizer_gradient, regularizer_loss
 from qmiheat.training import (
     ExperimentSummary,
     RunHistory,
@@ -37,6 +41,23 @@ def _small_config(**overrides):
     base = dict(variant="rf32", epochs=2, batch_size=16, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _shards(n):
+    """The 32-image shards a batch of n runs as."""
+    return [slice(i, i + 32) for i in range(0, n, 32)]
+
+
+def _flat(layer_grads):
+    return [g for pair in layer_grads for g in pair]
+
+
+def _biased_model(seed):
+    model = build_model("rf32", seed)
+    rng = np.random.default_rng(seed)
+    for spec in model.layers:
+        spec.conv.bias = rng.uniform(-0.1, 0.1, spec.conv.bias.shape).astype(np.float32)
+    return model
 
 
 def test_config_defaults():
@@ -128,14 +149,108 @@ def test_eta_zero_matches_hand_rolled_baseline_loop(tiny_split):
             sel = order[start : start + cfg.batch_size]
             scores, _, caches = forward_training(ref, x_all[sel])
             _, grad_scores = LOSSES[cfg.loss_kind](scores, labels_all[sel])
-            from qmiheat.models import backprop
-
             layer_grads = backprop(ref, caches, grad_scores)
             flat = [g for pair in layer_grads for g in pair]
             sgd_momentum_step(params, flat, state)
 
     for a, b in zip(parameters(model), parameters(ref)):
         assert np.array_equal(a, b)
+
+
+def test_eta_zero_matches_hand_rolled_loop_over_shards(tiny_split):
+    """At batch 64 a run with the regularizer off equals, bit for bit, a
+    loop with no regularizer code that folds its 32-image shards' gradients
+    in order."""
+    train_set, test_set = tiny_split
+    cfg = _small_config(eta=0.0, epochs=2, batch_size=64)
+    model, _ = train(cfg, train_set, test_set)
+
+    ref = build_model(cfg.variant, cfg.seed)
+    params = parameters(ref)
+    state = OptimizerState.for_params(params, lr=cfg.lr_initial, momentum=cfg.momentum)
+    x_all = to_float(train_set)
+    labels_all = train_set.labels
+    rng = np.random.default_rng(cfg.seed)
+    switch_after = int(0.8 * cfg.epochs)
+    for epoch in range(1, cfg.epochs + 1):
+        state.lr = cfg.lr_initial if epoch <= switch_after else cfg.lr_final
+        order = rng.permutation(len(train_set))
+        for start in range(0, len(order), cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            passes = [forward_training(ref, x_all[sel][s]) for s in _shards(sel.size)]
+            scores = np.concatenate([p[0] for p in passes])
+            _, grad_scores = LOSSES[cfg.loss_kind](scores, labels_all[sel])
+            flat = None
+            for (_, _, caches), s in zip(passes, _shards(sel.size)):
+                shard = _flat(backprop(ref, caches, grad_scores[s]))
+                flat = shard if flat is None else [a + b for a, b in zip(flat, shard)]
+            sgd_momentum_step(params, flat, state)
+
+    for a, b in zip(parameters(model), parameters(ref)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [64, 80])
+def test_batch_gradients_fold_shard_gradients_in_order(tiny_split, n):
+    # 64 images are two shards; 80 add a short third.
+    train_set, _ = tiny_split
+    x = to_float(train_set)[:n]
+    labels = train_set.labels[:n]
+    model = _biased_model(5)
+    eta = 0.01
+    grads, j_class, j_mi = batch_gradients(model, x, labels, HINGE, eta)
+
+    # The shards' forward values are the whole batch's bytes.
+    scores, emb, caches = forward_training(model, x)
+    passes = [forward_training(model, x[s]) for s in _shards(n)]
+    assert np.concatenate([p[0] for p in passes]).tobytes() == scores.tobytes()
+    assert np.concatenate([p[1] for p in passes]).tobytes() == emb.tobytes()
+    want_class, grad_scores = LOSSES[HINGE](scores, labels)
+    batch = EmbeddingBatch(y=emb.astype(np.float64), labels=labels)
+    assert j_class == float(want_class)
+    assert j_mi == float(regularizer_loss(batch_potentials(batch)))
+
+    grad_emb = eta * regularizer_gradient(batch)
+    folded = None
+    for p, s in zip(passes, _shards(n)):
+        shard = _flat(backprop(model, p[2], grad_scores[s], grad_emb[s]))
+        folded = shard if folded is None else [a + b for a, b in zip(folded, shard)]
+    whole = _flat(backprop(model, caches, grad_scores, grad_emb))
+    for got, f, w in zip(grads, folded, whole):
+        assert got.tobytes() == f.tobytes()
+        assert np.abs(got - w).max() <= 1e-5 * np.abs(w).max()
+
+
+def test_batch_gradients_do_not_depend_on_the_pool(tiny_split):
+    # 80 images: two full shards and a short one; four workers, more than
+    # the cores here, switching threads as often as the interpreter can.
+    train_set, _ = tiny_split
+    x = to_float(train_set)
+    model = _biased_model(2)
+    results = [batch_gradients(model, x, train_set.labels, HINGE, 0.01)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 4):
+            with ThreadPoolExecutor(workers) as pool:
+                results.append(
+                    batch_gradients(model, x, train_set.labels, HINGE, 0.01, pool)
+                )
+    finally:
+        sys.setswitchinterval(interval)
+    for grads, j_class, j_mi in results[1:]:
+        assert (j_class, j_mi) == results[0][1:]
+        for a, b in zip(grads, results[0][0]):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_train_and_evaluate_join_their_worker_threads(tiny_split):
+    train_set, test_set = tiny_split
+    before = threading.active_count()
+    model, _ = train(_small_config(batch_size=64, epochs=1), train_set, test_set)
+    assert threading.active_count() == before
+    evaluate(model, train_set)
+    assert threading.active_count() == before
 
 
 def test_j_class_decreases_over_early_epochs():
@@ -391,6 +506,18 @@ def test_diverging_training_stops_naming_epoch_and_batch(tiny_split):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match=where):
                 train(config, train_set, test_set)
+
+
+def test_diverging_sharded_run_keeps_the_callers_error_state(tiny_split):
+    # The shards run on worker threads; np.errstate must hold there too.
+    train_set, test_set = tiny_split
+    config = _small_config(batch_size=64, lr_initial=1e4, lr_final=1e4, epochs=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="non-finite"):
+                train(config, train_set, test_set)
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
 
 def test_non_finite_parameters_after_the_last_update_stop_the_run(tiny_split):
