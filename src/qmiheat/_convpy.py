@@ -27,9 +27,10 @@ Bias after max is exact: float rounding is monotone, so
 max(a, c) + b rounds to max(a + b, c + b).  With ``relu`` the biased
 unit is then rectified while still in cache, so a dense stage is one
 call.  The backward folds each chunk of images into one GEMM for the
-kernel gradient, summed over the chunks, its patches copied from a
-zero-padded, channel-major buffer in which, at stride 1, each kernel tap
-is one contiguous run per image.  The input gradient is a full
+kernel gradient, summed over the chunks: the chunk's patch matrix is
+one copy from the same strided view that the forward's patches come
+from (Chellapilla, Puri & Simard, IWFHR 2006), multiplied by the
+chunk's output gradient.  The input gradient is a full
 correlation of the dilated output gradient with the flipped kernel
 (Dumoulin & Visin, arXiv:1603.07285), so the forward walker computes it
 and no col2im scatter is needed.
@@ -73,6 +74,20 @@ def _image_chunk(per_image, n):
     return max(1, min(n, _STRIP_BUDGET // max(1, per_image)))
 
 
+def _patch_view(src, kh, kw, stride, groups, per, ow):
+    """Read-only (images, groups, c, kh, kw, per, ow) view of an NCHW
+    grid: entry (i, g, ch, ki, kj, r, j) is src cell (i, ch,
+    (g*per + r)*stride + ki, j*stride + kj), so one copy from it fills
+    every tap of ``groups`` patch matrices of ``per`` output rows each."""
+    si, sc, sr, sj = src.strides
+    return np.lib.stride_tricks.as_strided(
+        src,
+        (src.shape[0], groups, src.shape[1], kh, kw, per, ow),
+        (si, per * stride * sr, sc, sr, sj, stride * sr, stride * sj),
+        writeable=False,
+    )
+
+
 def _tap_rows(oc, wp, oh, pool):
     """Output rows per band of the tap path: the band's (oc, rows*wp)
     accumulator fits _TAP_BUDGET; pooled, an even count of at least 2."""
@@ -98,7 +113,7 @@ def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
     run of rows*wp floats at ki*wp + kj, a view, not a copy.  The
     accumulator's columns at or past ow read across the row end and are
     dropped.  Otherwise ``strip`` rows make a band, and any unit's patches
-    are copied from a strided view of the buffer, or at pad 0 of a chunk's
+    are copied from ``_patch_view`` of the buffer, or at pad 0 of a chunk's
     images, in one copy, into one block allocated per call.  A chunk then
     runs one GEMM per image, and a band one per output row, each on a
     contiguous patch matrix.  For rf32's stage 0 (oc = 16, K = 27), one
@@ -151,17 +166,8 @@ def conv2d_forward(x, w, b, stride, pad, pool=False, relu=False):
         tmp = np.empty_like(acc)
     else:
         w_mat = w.reshape(oc, ckk)
-        # block[i, g] is the (K, per*ow) patch matrix of one GEMM: its entry
-        # (ch, ki, kj, r, j) is src cell (i, ch, (g*per + r)*stride + ki,
-        # j*stride + kj), so one copy from this view fills every tap.
-        src = x if direct else grid
-        si, sc, sr, sj = src.strides
-        patches = np.lib.stride_tricks.as_strided(
-            src,
-            (src.shape[0], rows // per, c, kh, kw, per, ow),
-            (si, per * stride * sr, sc, sr, sj, stride * sr, stride * sj),
-            writeable=False,
-        )
+        # block[i, g] is the (K, per*ow) patch matrix of one GEMM.
+        patches = _patch_view(x if direct else grid, kh, kw, stride, rows // per, per, ow)
         block = np.empty((imgs, *patches.shape[1:]), dtype=np.float32)
     bias = b.reshape(oc, 1, 1)
     for i0 in range(0, n, imgs):
@@ -221,6 +227,8 @@ def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
     The input gradient is ``conv2d_forward``, at stride 1 and pad 0, of
     the output gradient dilated by the stride into zeros k - 1 larger than
     the input, with the flipped kernel, its in and out channels swapped.
+    Each chunk of images multiplies its (c*kh*kw, images*oh*ow) patch
+    matrix, one copy from ``_patch_view``, by its output gradient.
     """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
@@ -239,26 +247,27 @@ def conv2d_backward(x, w, stride, pad, grad_out, input_grad=True):
         dilated[:, :, dst_r, dst_c] = grad_out[:, :, src_r, src_c]
         w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         grad_x = conv2d_forward(dilated, w_flip, np.zeros(ic, dtype=np.float32), 1, 0)
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    # At stride 1 each output row is wp wide; the columns at or past ow
-    # read across the row end and get zero gradient.
-    width = wp if stride == 1 else ow
-    imgs = _image_chunk(ic * kh * kw * oh * width, n)
+    ckk = ic * kh * kw
+    imgs = _image_chunk(ckk * oh * ow, n)
+    # The patches come from x itself at pad 0, else from one zero-bordered
+    # grid whose interior each chunk refills.
+    if pad:
+        grid = np.zeros((imgs, c, h + 2 * pad, wd + 2 * pad), dtype=np.float32)
     grad_w = None
     for i0 in range(0, n, imgs):
         i1 = min(i0 + imgs, n)
-        u = i1 - i0
-        # Channel-major, zero-bordered; the flat length leaves room for every
-        # tap's run past the grid end: stride - 1 rows plus kw - 1 columns.
-        xbuf = np.zeros((c, u, (hp + stride - 1) * wp + kw - 1), dtype=np.float32)
-        grid = xbuf[:, :, : hp * wp].reshape(c, u, hp, wp)
-        grid[:, :, pad : pad + h, pad : pad + wd] = x[i0:i1].transpose(1, 0, 2, 3)
-        cols = _wide_patches(xbuf, wp, kh, kw, stride, oh, width)
-        g_wide = np.zeros((oc, u, oh, width), dtype=np.float32)
-        g_wide[..., :ow] = grad_out[i0:i1].transpose(1, 0, 2, 3)
-        gw = np.matmul(cols, g_wide.reshape(oc, -1).T)
+        src = x[i0:i1]
+        if pad:
+            grid[: i1 - i0, :, pad : pad + h, pad : pad + wd] = src
+            src = grid[: i1 - i0]
+        # (c, kh, kw, images, oh, ow): one copy makes the (K, images*oh*ow) matrix.
+        view = _patch_view(src, kh, kw, stride, 1, oh, ow)[:, 0].transpose(1, 2, 3, 0, 4, 5)
+        cols = np.ascontiguousarray(view).reshape(ckk, -1)
+        # Always a copy: a view would change the GEMM's operand order, and its bits.
+        g = np.ascontiguousarray(grad_out[i0:i1].transpose(1, 0, 2, 3)).reshape(oc, -1)
+        gw = np.matmul(cols, g.T)
         grad_w = gw if grad_w is None else grad_w + gw
-        del xbuf, grid, cols, g_wide
+        del cols, g
     # (K, oc) then transposed: OpenBLAS runs this orientation faster.
     return grad_x, grad_w.T.copy().reshape(oc, ic, kh, kw), grad_b
 
@@ -269,21 +278,3 @@ def _landing(start, count, step, size):
     i0 = max(0, -(start // step))
     i1 = max(i0, min(count, (size - 1 - start) // step + 1))
     return slice(i0, i1), slice(start + i0 * step, start + i1 * step, step)
-
-
-def _wide_patches(buf, wp, kh, kw, stride, oh, width):
-    """Patch matrix (c*kh*kw, n*oh*width) from a (c, n, flat) buffer holding
-    each image on a zero-bordered grid wp wide.
-
-    Tap (ki, kj) of output row r starts at flat offset (r*stride + ki)*wp + kj,
-    so at stride 1 each tap is one contiguous run of oh*wp floats per image.
-    """
-    c, n, _ = buf.shape
-    cols = np.empty((c, kh, kw, n, oh, width), dtype=np.float32)
-    span = oh * stride * wp
-    for ki in range(kh):
-        for kj in range(kw):
-            off = ki * wp + kj
-            rows = buf[:, :, off : off + span].reshape(c, n, oh, stride * wp)
-            cols[:, ki, kj] = rows[..., : stride * width : stride]
-    return cols.reshape(c * kh * kw, n * oh * width)

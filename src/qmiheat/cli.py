@@ -134,21 +134,24 @@ def _cmd_train(args):
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
     config = _train_config(args)
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise DataFormatError(f"{args.out_dir}: output directory is a file")
     train_set = load_packed(args.train_path)
     test_set = load_packed(args.test_path)
     for path, dataset in ((args.train_path, train_set), (args.test_path, test_set)):
         if len(dataset) == 0:
             raise ValueError(f"{path}: dataset is empty")
         check_window(config.variant, dataset, f"{path}: images")
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    def save_run(i, model, history):
-        save_model(model, os.path.join(args.out_dir, f"model_run{i + 1}.vggh"))
-        write_history(history, os.path.join(args.out_dir, f"history_run{i + 1}.csv"))
-
+    # Every run is kept in memory (~70 KB each) and written once all have
+    # succeeded, so a diverged run leaves no directory and no file behind.
+    runs = []
     summary = repeated_experiment(
-        config, train_set, test_set, k=args.runs, on_run=save_run
+        config, train_set, test_set, k=args.runs, on_run=lambda _, *run: runs.append(run)
     )
+    os.makedirs(args.out_dir, exist_ok=True)
+    for i, (model, history) in enumerate(runs, start=1):
+        save_model(model, os.path.join(args.out_dir, f"model_run{i}.vggh"))
+        write_history(history, os.path.join(args.out_dir, f"history_run{i}.csv"))
     write_summary(summary, os.path.join(args.out_dir, "summary.txt"))
     save_config(config_to_mapping(config), os.path.join(args.out_dir, "config.txt"))
     print(

@@ -68,7 +68,7 @@ def conv2d_forward(x, layer, pool=False, relu=False):
     With ``pool`` the result is max-pooled 2x2/stride 2 in the same call,
     dropping an odd last row and column; the unpooled output is never
     held.  With ``relu`` the (pooled) result is then rectified in place,
-    which gives the bytes of a separate ``relu_infer``.  The forward walks
+    which gives the bytes of ``np.maximum(result, 0)``.  The forward walks
     one loop over chunks of whole images or, on frames too large for one
     image's patch matrix, bands of output rows.  A band of a stride-1
     convolution with 16 or more input channels runs one matrix product per

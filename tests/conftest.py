@@ -64,6 +64,33 @@ def conv2d_oracle(x, w, b, stride, pad):
     return out
 
 
+def conv2d_backward_oracle(x, w, stride, pad, grad_out):
+    """Input and kernel gradients of conv2d_oracle in float64, one kernel
+    tap at a time: tap (ki, kj) multiplies w[:, :, ki, kj] with the padded
+    input cells (r*stride + ki, c*stride + kj) over every output cell (r, c),
+    so it sends grad_out back along exactly those cells and weights."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    g = np.asarray(grad_out, dtype=np.float64)
+    n, ic, h, ww = x.shape
+    oc, _, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros_like(w)
+    for ki in range(kh):
+        for kj in range(kw):
+            cells = (
+                slice(None),
+                slice(None),
+                slice(ki, ki + (oh - 1) * stride + 1, stride),
+                slice(kj, kj + (ow - 1) * stride + 1, stride),
+            )
+            grad_w[:, :, ki, kj] = np.einsum("nohw,nihw->oi", g, xp[cells])
+            grad_xp[cells] += np.einsum("nohw,oi->nihw", g, w[:, :, ki, kj])
+    return grad_xp[:, :, pad : pad + h, pad : pad + ww], grad_w
+
+
 def kernel_oracle(a, b):
     """Similarity of two embedding rows: 1 / (1 + squared distance)."""
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)

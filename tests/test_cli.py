@@ -463,25 +463,32 @@ def test_model_relabelled_to_another_variant_is_a_data_error(tmp_path, capsys):
 
 
 def test_diverging_training_exits_3(tmp_path, split_files, capsys):
+    """A diverged run exits 3 and leaves no output directory; the same
+    run into an existing file exits 2 naming it, before it trains."""
     train_p, test_p = split_files
+    out_dir = tmp_path / "o"
+    argv = [
+        "train",
+        "--train", str(train_p),
+        "--test", str(test_p),
+        "--out-dir", str(out_dir),
+        "--epochs", "3",
+        "--batch", "8",
+        "--eta", "0.0",
+        "--lr-initial", "1e4",
+        "--lr-final", "1e4",
+    ]
     with np.errstate(over="ignore", invalid="ignore"):
-        code = run_cli(
-            [
-                "train",
-                "--train", str(train_p),
-                "--test", str(test_p),
-                "--out-dir", str(tmp_path / "o"),
-                "--epochs", "3",
-                "--batch", "8",
-                "--eta", "0.0",
-                "--lr-initial", "1e4",
-                "--lr-final", "1e4",
-            ]
-        )
+        code = run_cli(argv)
     assert code == 3
     err = capsys.readouterr().err
     assert "training diverged: epoch" in err
     assert "batch" in err
+    assert not out_dir.exists()
+    out_dir.write_text("kept")
+    assert run_cli(argv) == 2
+    assert f"data error: {out_dir}: output directory is a file" in capsys.readouterr().err
+    assert out_dir.read_text() == "kept"
 
 
 def test_bad_parameter_value_from_flags_is_a_data_error(tmp_path, split_files, capsys):

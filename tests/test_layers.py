@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import central_difference, conv2d_oracle, relative_error
+from conftest import (
+    central_difference,
+    conv2d_backward_oracle,
+    conv2d_oracle,
+    relative_error,
+)
 
 from qmiheat import _convpy
 from qmiheat.layers import (
@@ -235,18 +240,23 @@ def test_conv_gradients_match_finite_differences(monkeypatch):
         # whose first output cells land outside the input gradient
         ((2, 2, 7, 9), (3, 2, 2, 3), 1, 1),
         ((2, 2, 7, 9), (3, 2, 2, 2), 2, 2),
-        # under the budget set below, five images in chunks of 2, 2 and 1
+        # under the budget set below, five images in chunks of 2, 2 and 1,
+        # padded or, at pad 0, read straight from the input
         ((5, 2, 6, 6), (3, 2, 3, 3), 1, 1),
+        ((5, 2, 6, 6), (3, 2, 2, 2), 1, 0),
     ]
     for x_shape, w_shape, stride, pad in cases:
-        if x_shape[0] == 5:
-            monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 2 * 18 * 6 * 8)
-            assert _convpy._image_chunk(18 * 6 * 8, 5) == 2
         x = rng.uniform(-0.5, 0.5, size=x_shape).astype(np.float32)
         wt = rng.uniform(-0.5, 0.5, size=w_shape).astype(np.float32)
         b = rng.uniform(-0.5, 0.5, size=w_shape[0]).astype(np.float32)
         layer = _layer(wt, bias=b, stride=stride, pad=pad)
         go = rng.uniform(-1.0, 1.0, size=conv2d_forward(x, layer).shape).astype(np.float32)
+        if x_shape[0] == 5:
+            # The budget holds two images' kernel-gradient patches, each
+            # ckk x oh x ow floats.
+            per_image = int(np.prod(w_shape[1:])) * go.shape[2] * go.shape[3]
+            monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 2 * per_image)
+            assert _convpy._image_chunk(per_image, 5) == 2
 
         gx, gw, gb = conv2d_backward(x, layer, go)
 
@@ -262,14 +272,17 @@ def test_conv_gradients_match_finite_differences(monkeypatch):
         assert relative_error(gw, central_difference(loss_of_w, wt)) <= 1e-4
         assert relative_error(gx, central_difference(loss_of_x, x)) <= 1e-4
         assert relative_error(gb, central_difference(loss_of_b, b)) <= 1e-4
+        want_x, want_w = conv2d_backward_oracle(x, wt, stride, pad, go)
+        assert relative_error(gw, want_w) <= 1e-5
+        assert relative_error(gx, want_x) <= 1e-5
 
 
 def test_conv_backward_without_input_gradient_returns_none_for_it():
     rng = np.random.default_rng(11)
     # The last case is rf32's stage 1 at batch 64: its kernel-gradient
-    # patches take 144 x 16 x 18 floats per image, so the batch runs in
+    # patches take 144 x 16 x 16 floats per image, so the batch runs in
     # several chunks with a short last one.
-    assert 64 % _convpy._image_chunk(144 * 16 * 18, 64) != 0
+    assert 64 % _convpy._image_chunk(144 * 16 * 16, 64) != 0
     for n, c, size, stride in ((3, 3, 10, 1), (3, 3, 10, 2), (64, 16, 16, 1)):
         x = rng.standard_normal((n, c, size, size)).astype(np.float32)
         layer = _layer(rng.standard_normal((4, c, 3, 3)), stride=stride, pad=1)
@@ -279,6 +292,35 @@ def test_conv_backward_without_input_gradient_returns_none_for_it():
         assert gx is not None and none is None
         assert gw_only.tobytes() == gw.tobytes()
         assert gb_only.tobytes() == gb.tobytes()
+
+
+def test_conv_backward_matches_float64_reference_at_training_shapes():
+    """rf32's five stages and rf64's stride-2 first stage on a 32-image
+    shard, against the float64 tap-by-tap reference, within 1e-5 of its
+    largest value, as the kernel's documentation promises."""
+    rng = np.random.default_rng(19)
+    cases = [
+        ((32, 3, 32, 32), (16, 3, 3, 3), 1, 1),
+        ((32, 16, 16, 16), (16, 16, 3, 3), 1, 1),
+        ((32, 16, 8, 8), (32, 16, 3, 3), 1, 1),
+        ((32, 32, 4, 4), (32, 32, 3, 3), 1, 1),
+        ((32, 32, 2, 2), (2, 32, 2, 2), 1, 0),
+        ((32, 3, 64, 64), (16, 3, 3, 3), 2, 1),
+    ]
+    # The first two stages' kernel gradients run in several image chunks,
+    # the last one short: 27 x 32 x 32 and 144 x 16 x 16 floats per image.
+    for per_image in (27 * 32 * 32, 144 * 16 * 16):
+        assert 32 % _convpy._image_chunk(per_image, 32) != 0
+    for x_shape, w_shape, stride, pad in cases:
+        x = np.maximum(rng.standard_normal(x_shape), 0.0).astype(np.float32)
+        limit = np.sqrt(6.0 / np.prod(w_shape[1:]))
+        wt = rng.uniform(-limit, limit, size=w_shape).astype(np.float32)
+        layer = _layer(wt, stride=stride, pad=pad)
+        go = rng.standard_normal(conv2d_forward(x, layer).shape).astype(np.float32)
+        gx, gw, _ = conv2d_backward(x, layer, go)
+        want_x, want_w = conv2d_backward_oracle(x, wt, stride, pad, go)
+        assert relative_error(gw, want_w) <= 1e-5
+        assert relative_error(gx, want_x) <= 1e-5
 
 
 def test_strided_conv_geometry():
