@@ -10,6 +10,7 @@ parameters stops and exits 3, naming the epoch and batch.
 
 import argparse
 import os
+import re
 import sys
 
 from .config import load_config, save_config
@@ -130,12 +131,32 @@ def _train_config(args):
     return config_from_mapping(mapping, source=" and ".join(sources))
 
 
+_RUN_FILE = re.compile(r"(?:model_run([1-9][0-9]*)\.vggh|history_run([1-9][0-9]*)\.csv)\Z")
+
+
+def _check_out_dir(out_dir, runs):
+    """DataFormatError naming an --out-dir that is a file, or the first
+    model or history file in it of a run numbered above ``runs``, which
+    this run would leave beside its own."""
+    if not os.path.isdir(out_dir):
+        if os.path.exists(out_dir):
+            raise DataFormatError(f"{out_dir}: output directory is a file")
+        return
+    stale = sorted(
+        (int(m[1] or m[2]), name)
+        for name in os.listdir(out_dir)
+        if (m := _RUN_FILE.match(name)) and int(m[1] or m[2]) > runs
+    )
+    if stale:
+        path = os.path.join(out_dir, stale[0][1])
+        raise DataFormatError(f"{path}: output of a run beyond --runs {runs}")
+
+
 def _cmd_train(args):
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
+    _check_out_dir(args.out_dir, args.runs)
     config = _train_config(args)
-    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
-        raise DataFormatError(f"{args.out_dir}: output directory is a file")
     train_set = load_packed(args.train_path)
     test_set = load_packed(args.test_path)
     for path, dataset in ((args.train_path, train_set), (args.test_path, test_set)):
@@ -254,10 +275,8 @@ def run_cli(argv):
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except DataFormatError as exc:
-        print(f"qmiheat: data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # Ahead of ValueError, which DataFormatError subclasses.
+    except (DataFormatError, OSError) as exc:
         print(f"qmiheat: data error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, MemoryError) as exc:

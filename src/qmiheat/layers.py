@@ -4,14 +4,88 @@ SGD with momentum.
 Everything operates on float32 arrays of shape (batch, channels, height,
 width) and is deterministic: the same inputs always produce bit-identical
 outputs, so repeated training runs with one seed reproduce exactly.
+Convolution results do not depend on how many images share a call, and
+stay within 1e-5 of the naive fixed-loop summation.
+
+Both convolution passes run on float32 matrix products (BLAS sgemm).  The
+forward is one loop, the walker, over units of work.  A unit is a chunk
+of whole images whose patch matrices stay within ``_STRIP_BUDGET``, or,
+when one image's patches alone exceed it, as for full-HD frames, a band
+of one image's output rows.  Each unit copies the input rows it reads
+into one zero-bordered flat (c, rows_in*wp + kw - 1) buffer per image, wp
+the padded width, so the batch is never padded as a whole; at pad 0 a
+chunk of whole images, such as the 2x2 head's or an input gradient's,
+takes its patches straight from the input.
+
+At stride 1 with at least ``_TAP_MIN_CHANNELS`` input channels,
+``_tap_rows`` rows make a band, run as one GEMM per kernel tap summed
+into one accumulator (kn2row: Vasudevan, Anderson & Gregg, ASAP 2017).
+Output row r, tap (ki, kj) reads the buffer from (r + ki)*wp + kj on, so
+each tap's operand for the whole band is the run of rows*wp floats at
+ki*wp + kj, a view, not a copy; the accumulator's columns at or past ow
+read across the row end and are dropped.  At 1080p, one BLAS thread,
+rf32's stage 1 went from 84-100 to 58-75 ms.  The taps sum in another
+order than the patch path, so their low bits differ from it.
+
+Otherwise ``_row_strip`` rows make a band, and any unit's patches are
+copied from ``_patch_view`` of the buffer, or at pad 0 of a chunk's
+images, in one copy, into one block allocated per call.  A chunk then
+runs one GEMM per image, and a band one per output row, each on a
+contiguous patch matrix.  For rf32's stage 0 (oc = 16, K = 27), one BLAS
+thread, OpenBLAS ran the (16 x 27) @ (27 x N) product at 52-54 GFLOP/s
+for N = 480, 62 for 960, 66 for 1920 (one 1080p row), 45-58 for 3840 and
+7680 (2- and 4-row GEMMs) and 33-34 for 15360.  With K = 3 per tap, tap
+GEMMs ran that stage at 1080p in 147-180 against 97-111 ms, and nine tap
+copies in place of the one copy took 7-10% longer.  Against one GEMM per
+4-row band and a separate ReLU, that stage went from 104-118 to 69-80 ms
+(medians of two runs of alternating calls), and rf64's stride-2 stage 0
+at 640x480 from 7.2-8.7 to 6.0-7.2 ms.
+
+Every unit's product, read as (images, oc, rows, ow), is max-pooled 2x2
+while still in cache when ``pool`` is set, so full-resolution
+activations are never written out and only the cells the pool keeps are
+computed.  The bias is then added, to the pooled quarter: float rounding
+is monotone, so max(a, c) + b rounds to max(a + b, c + b).  With
+``relu`` the biased unit is then rectified, so a dense stage is one
+call.  This epilogue runs in a temporary of the unit's own layout, copied
+into the output last; pooling a band straight into the output measured
+slower.
+
+The backward folds each chunk of images into one GEMM for the kernel
+gradient, summed over the chunks: the chunk's patch matrix is one copy
+from the same strided view that the forward's patches come from
+(Chellapilla, Puri & Simard, IWFHR 2006), multiplied by the chunk's
+output gradient.  The input gradient is a full correlation of the
+dilated output gradient with the flipped kernel (Dumoulin & Visin,
+arXiv:1603.07285), so the walker computes it and no col2im scatter is
+needed.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _convpy
-from ._convpy import maxpool2x2
+# Patch-matrix budget per chunk of images or band of rows, in float32
+# elements (~1 MB).  At that size malloc serves every chunk from reused
+# heap memory and the chunk stays in cache.  32 MB strips were mapped
+# fresh each time, and faulting their zeroed pages in cost a full-frame
+# scan more than its matrix products did; with patches for the whole
+# batch at once, a batch-64 training step took about 1.5x as long.
+_STRIP_BUDGET = 250_000
+
+# Bands of stride-1 convolutions with this many input channels or more
+# run as one GEMM per kernel tap.
+_TAP_MIN_CHANNELS = 16
+
+# Accumulator budget per band of the tap path, in float32 elements
+# (128 KB).  rf32's stage 1 at 1080p, one BLAS thread, min of 5 calls:
+# 53-76 ms at 16 K, 32 K and 64 K; 79-101 ms at 128 K; 97-105 ms at
+# _STRIP_BUDGET.
+_TAP_BUDGET = 32_768
+
+
+def _out_dim(size, k, stride, pad):
+    return (size + 2 * pad - k) // stride + 1
 
 
 @dataclass
@@ -52,8 +126,8 @@ class ConvLayer:
     def out_size(self, h, w):
         """Output (oh, ow) for an (h, w) input; rejects degenerate sizes."""
         kh, kw = self.kernel.shape[2:]
-        oh = (h + 2 * self.pad - kh) // self.stride + 1
-        ow = (w + 2 * self.pad - kw) // self.stride + 1
+        oh = _out_dim(h, kh, self.stride, self.pad)
+        ow = _out_dim(w, kw, self.stride, self.pad)
         if oh < 1 or ow < 1:
             raise ValueError(
                 f"input {h}x{w} too small for kernel {kh}x{kw} "
@@ -62,46 +136,206 @@ class ConvLayer:
         return oh, ow
 
 
+def _row_strip(ckk, ow, oh):
+    rows = max(1, _STRIP_BUDGET // max(1, ckk * ow))
+    return min(rows, oh)
+
+
+def _image_chunk(per_image, n):
+    """Images per chunk whose patch matrices together fit the budget."""
+    return max(1, min(n, _STRIP_BUDGET // max(1, per_image)))
+
+
+def _patch_view(src, kh, kw, stride, groups, per, ow):
+    """Read-only (images, groups, c, kh, kw, per, ow) view of an NCHW
+    grid: entry (i, g, ch, ki, kj, r, j) is src cell (i, ch,
+    (g*per + r)*stride + ki, j*stride + kj), so one copy from it fills
+    every tap of ``groups`` patch matrices of ``per`` output rows each."""
+    si, sc, sr, sj = src.strides
+    return np.lib.stride_tricks.as_strided(
+        src,
+        (src.shape[0], groups, src.shape[1], kh, kw, per, ow),
+        (si, per * stride * sr, sc, sr, sj, stride * sr, stride * sj),
+        writeable=False,
+    )
+
+
+def _tap_rows(oc, wp, oh, pool):
+    """Output rows per band of the tap path: the band's (oc, rows*wp)
+    accumulator fits _TAP_BUDGET; pooled, an even count of at least 2."""
+    rows = max(1, _TAP_BUDGET // (oc * wp))
+    if pool:
+        rows = max(2, rows // 2 * 2)
+    return min(rows, oh)
+
+
 def conv2d_forward(x, layer, pool=False, relu=False):
-    """Cross-correlation plus bias over an NCHW batch.
+    """Cross-correlation plus bias over an NCHW batch, run by the walker.
 
     With ``pool`` the result is max-pooled 2x2/stride 2 in the same call,
     dropping an odd last row and column; the unpooled output is never
-    held.  With ``relu`` the (pooled) result is then rectified in place,
-    which gives the bytes of ``np.maximum(result, 0)``.  The forward walks
-    one loop over chunks of whole images or, on frames too large for one
-    image's patch matrix, bands of output rows.  A band of a stride-1
-    convolution with 16 or more input channels runs one matrix product per
-    kernel tap, which sums in another order; any other band runs one per
-    output row, and a chunk one per image (see ``_convpy``).
+    held.  With ``relu`` the (pooled) result is then rectified, which
+    gives the bytes of ``np.maximum(result, 0)``.
     """
     x = _as_f32_nchw(x)
-    if x.shape[1] != layer.in_channels:
-        raise ValueError(
-            f"input has {x.shape[1]} channels, layer expects {layer.in_channels}"
-        )
-    layer.out_size(x.shape[2], x.shape[3])
-    return _convpy.conv2d_forward(
-        x, layer.kernel, layer.bias, layer.stride, layer.pad, pool, relu
-    )
+    n, c, h, wd = x.shape
+    if c != layer.in_channels:
+        raise ValueError(f"input has {c} channels, layer expects {layer.in_channels}")
+    oh, ow = layer.out_size(h, wd)
+    w, stride, pad = layer.kernel, layer.stride, layer.pad
+    oc, _, kh, kw = w.shape
+    ckk = c * kh * kw
+    strip = _row_strip(ckk, ow, oh)
+    out_hw = (oh, ow)
+    if pool:
+        oh, ow = oh // 2 * 2, ow // 2 * 2
+        strip = max(2, strip // 2 * 2)
+        out_hw = (oh // 2, ow // 2)
+    out = np.empty((n, oc, *out_hw), dtype=np.float32)
+    if out.size == 0:
+        return out
+    wp = wd + 2 * pad
+    # A unit is ``imgs`` images by ``rows`` output rows; ``per`` of its
+    # rows run as one GEMM of the patch path.
+    if strip >= oh:
+        taps, imgs, rows, per = False, _image_chunk(ckk * oh * ow, n), oh, oh
+    else:
+        taps = stride == 1 and c >= _TAP_MIN_CHANNELS
+        imgs, rows, per = 1, _tap_rows(oc, wp, oh, pool) if taps else strip, 1
+    rows_in = (rows - 1) * stride + kh
+    # At pad 0 a chunk of whole images takes its patches straight from x.
+    direct = pad == 0 and strip >= oh
+    if not direct:
+        buf = np.zeros((imgs, c, rows_in * wp + kw - 1), dtype=np.float32)
+        grid = buf[:, :, : rows_in * wp].reshape(imgs, c, rows_in, wp)
+    if taps:
+        (t0, off0), *rest = [
+            (np.ascontiguousarray(w[:, :, ki, kj]), ki * wp + kj)
+            for ki in range(kh)
+            for kj in range(kw)
+        ]
+        acc = np.empty((oc, rows * wp), dtype=np.float32)
+        tmp = np.empty_like(acc)
+    else:
+        w_mat = w.reshape(oc, ckk)
+        # block[i, g] is the (K, per*ow) patch matrix of one GEMM.
+        patches = _patch_view(x if direct else grid, kh, kw, stride, rows // per, per, ow)
+        block = np.empty((imgs, *patches.shape[1:]), dtype=np.float32)
+    bias = layer.bias.reshape(oc, 1, 1)
+    for i0 in range(0, n, imgs):
+        i1 = min(i0 + imgs, n)
+        u = i1 - i0
+        for r0 in range(0, oh, rows):
+            m = min(rows, oh - r0)
+            if not direct:
+                lo = r0 * stride - pad
+                top, end = max(lo, 0), min(lo + (m - 1) * stride + kh, h)
+                grid[:u, :, : top - lo] = 0
+                grid[:u, :, top - lo : end - lo, pad : pad + wd] = x[i0:i1, :, top:end]
+                grid[:u, :, end - lo :] = 0
+            if taps:
+                span = m * wp
+                a, p = acc[:, :span], tmp[:, :span]
+                np.matmul(t0, buf[0, :, off0 : off0 + span], out=a)
+                for tap, off in rest:
+                    np.matmul(tap, buf[0, :, off : off + span], out=p)
+                    a += p
+                res = a.reshape(1, oc, m, wp)[..., :ow]
+            else:
+                g = m // per
+                first = i0 if direct else 0
+                block[:u, :g] = patches[first : first + u, :g]
+                prod = np.matmul(w_mat, block[:u, :g].reshape(u * g, ckk, per * ow))
+                res = prod.reshape(u, g, oc, -1).swapaxes(1, 2).reshape(u, oc, m, ow)
+            if pool:
+                res = _maxpool2x2(res)
+            res += bias
+            if relu:
+                np.maximum(res, 0.0, out=res)
+            rs = slice(r0 // 2, (r0 + m) // 2) if pool else slice(r0, r0 + m)
+            out[i0:i1, :, rs] = res
+    return out
+
+
+def _maxpool2x2(x, out=None):
+    """2x2/stride-2 max of x (..., 2*h2, 2*w2) into out (..., h2, w2), or
+    into a new array in x's memory order.
+
+    The max over row pairs first, whose operands are whole contiguous
+    rows, then over column pairs of that half-size result: two passes
+    instead of three strided ones, about a third faster at rf32's
+    training and 1080p shapes.  On ties between +0.0 and -0.0 the sign of
+    the result is unspecified; every other tie returns the shared value.
+    """
+    rows = np.maximum(x[..., 0::2, :], x[..., 1::2, :])
+    return np.maximum(rows[..., 0::2], rows[..., 1::2], out=out)
 
 
 def conv2d_backward(x, layer, grad_out, input_grad=True):
     """Gradients w.r.t. input, kernel and bias given the forward input.
 
-    The input gradient is the forward loop run on the dilated output
-    gradient with the flipped kernel (see ``_convpy``).  With
-    ``input_grad`` false it is returned as None and is not computed.
+    With ``input_grad`` false the input gradient is returned as None and
+    is not computed; the kernel gradient's bytes are the same.  The input
+    gradient is ``conv2d_forward`` of the output gradient, dilated by the
+    stride into zeros k - 1 larger than the input, with the flipped
+    kernel, its in and out channels swapped.  Each chunk of images
+    multiplies its (c*kh*kw, images*oh*ow) patch matrix, one copy from
+    ``_patch_view``, by its output gradient.
     """
     x = _as_f32_nchw(x)
     grad_out = _as_f32_nchw(grad_out)
-    oh, ow = layer.out_size(x.shape[2], x.shape[3])
-    expected = (x.shape[0], layer.out_channels, oh, ow)
+    n, c, h, wd = x.shape
+    oh, ow = layer.out_size(h, wd)
+    w, stride, pad = layer.kernel, layer.stride, layer.pad
+    oc, ic, kh, kw = w.shape
+    expected = (n, oc, oh, ow)
     if grad_out.shape != expected:
         raise ValueError(f"grad_out shape {grad_out.shape}, expected {expected}")
-    return _convpy.conv2d_backward(
-        x, layer.kernel, layer.stride, layer.pad, grad_out, input_grad
-    )
+    grad_b = grad_out.sum(axis=(0, 2, 3), dtype=np.float32)
+    # The input gradient first, and each chunk's buffers freed before the
+    # next's: otherwise a training epoch page-faulted 2-4x as often.
+    grad_x = None
+    if input_grad:
+        # Output cell i lands at i*stride + k - 1 - pad per axis; only a pad
+        # of at least k drops any, those whose windows hold only padding.
+        dh, dw = h + kh - 1, wd + kw - 1
+        dilated = np.zeros((n, oc, dh, dw), dtype=np.float32)
+        src_r, dst_r = _landing(kh - 1 - pad, oh, stride, dh)
+        src_c, dst_c = _landing(kw - 1 - pad, ow, stride, dw)
+        dilated[:, :, dst_r, dst_c] = grad_out[:, :, src_r, src_c]
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        grad_x = conv2d_forward(dilated, ConvLayer(w_flip, np.zeros(ic, dtype=np.float32)))
+    ckk = ic * kh * kw
+    imgs = _image_chunk(ckk * oh * ow, n)
+    # The patches come from x itself at pad 0, else from one zero-bordered
+    # grid whose interior each chunk refills.
+    if pad:
+        grid = np.zeros((imgs, c, h + 2 * pad, wd + 2 * pad), dtype=np.float32)
+    grad_w = None
+    for i0 in range(0, n, imgs):
+        i1 = min(i0 + imgs, n)
+        src = x[i0:i1]
+        if pad:
+            grid[: i1 - i0, :, pad : pad + h, pad : pad + wd] = src
+            src = grid[: i1 - i0]
+        # (c, kh, kw, images, oh, ow): one copy makes the (K, images*oh*ow) matrix.
+        view = _patch_view(src, kh, kw, stride, 1, oh, ow)[:, 0].transpose(1, 2, 3, 0, 4, 5)
+        cols = np.ascontiguousarray(view).reshape(ckk, -1)
+        # Always a copy: a view would change the GEMM's operand order, and its bits.
+        g = np.ascontiguousarray(grad_out[i0:i1].transpose(1, 0, 2, 3)).reshape(oc, -1)
+        gw = np.matmul(cols, g.T)
+        grad_w = gw if grad_w is None else grad_w + gw
+        del cols, g
+    # (K, oc) then transposed: OpenBLAS runs this orientation faster.
+    return grad_x, grad_w.T.copy().reshape(oc, ic, kh, kw), grad_b
+
+
+def _landing(start, count, step, size):
+    """(source slice, grid slice) of the items start, start+step, ... that
+    fall inside [0, size)."""
+    i0 = max(0, -(start // step))
+    i1 = max(i0, min(count, (size - 1 - start) // step + 1))
+    return slice(i0, i1), slice(start + i0 * step, start + i1 * step, step)
 
 
 def maxpool2x2_forward(x):
@@ -142,7 +376,7 @@ def maxpool2x2_infer(x):
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    return maxpool2x2(x, np.empty((n, c, h // 2, w // 2), dtype=np.float32))
+    return _maxpool2x2(x, np.empty((n, c, h // 2, w // 2), dtype=np.float32))
 
 
 def maxpool2x2_backward(idx, grad_out):

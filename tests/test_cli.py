@@ -90,6 +90,34 @@ def test_train_writes_run_files(tmp_path, split_files, capsys):
     assert cfg["batch_size"] == "8"
 
 
+def test_train_refuses_files_of_runs_beyond_its_count(tmp_path, split_files, capsys):
+    """Into a directory holding a --runs 3 result, a smaller --runs exits 2
+    naming the first file it would leave stale, before it reads any input,
+    and writes nothing."""
+    train_p, test_p = split_files
+    out_dir = tmp_path / "runs"
+    argv = [
+        "train",
+        "--test", str(test_p),
+        "--out-dir", str(out_dir),
+        "--epochs", "1",
+        "--batch", "8",
+    ]
+    assert run_cli(argv + ["--train", str(train_p), "--runs", "3"]) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    missing = tmp_path / "absent.pids"
+    for train, runs, first in (
+        (train_p, "1", "history_run2.csv"),
+        (train_p, "2", "history_run3.csv"),
+        (missing, "1", "history_run2.csv"),
+    ):
+        assert run_cli(argv + ["--train", str(train), "--runs", runs]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {out_dir / first}: output of a run beyond --runs {runs}" in err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 def test_train_flags_override_config_file(tmp_path, split_files):
     train_p, test_p = split_files
     cfg_p = tmp_path / "base.cfg"

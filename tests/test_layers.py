@@ -9,7 +9,7 @@ from conftest import (
     relative_error,
 )
 
-from qmiheat import _convpy
+from qmiheat import layers
 from qmiheat.layers import (
     ConvLayer,
     OptimizerState,
@@ -80,9 +80,9 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
     # At the default budgets, a 16-channel 24x200 frame runs the tap path
     # in row bands, and rf32's stage 1 at batch 64 runs in image chunks
     # with a short last one, pooled (16 x 16 outputs) or not.
-    assert _convpy._row_strip(16 * 9, 200, 24) < 24
-    assert _convpy._row_strip(16 * 9, 16, 16) == 16
-    assert 64 % _convpy._image_chunk(16 * 9 * 16 * 16, 64) != 0
+    assert layers._row_strip(16 * 9, 200, 24) < 24
+    assert layers._row_strip(16 * 9, 16, 16) == 16
+    assert 64 % layers._image_chunk(16 * 9 * 16 * 16, 64) != 0
     for shape, oc in (((1, 16, 24, 200), 2), ((64, 16, 16, 16), 1)):
         x = rng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
         limit = np.sqrt(6.0 / (16 * 9))
@@ -98,31 +98,31 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
     # weights are drawn as build_model draws them, scaled to the fan-in: at
     # +-0.5 these sums reach 4-5 and their float32 rounding alone passes
     # 1e-6 (the patch-matrix strips read 1.6e-6 and 3.1e-6 there).
-    monkeypatch.setattr(_convpy, "_TAP_BUDGET", 2 * 119 * 4)
+    monkeypatch.setattr(layers, "_TAP_BUDGET", 2 * 119 * 4)
     assert 15 % 4 == 3 and 15 % 2 == 117 % 2 == 1
     for n, ic, h, w, rows, pooled_rows in ((1, 16, 15, 117, 4, 4), (2, 32, 8, 150, 3, 2)):
         x = rng.uniform(-0.5, 0.5, size=(n, ic, h, w)).astype(np.float32)
         limit = np.sqrt(6.0 / (ic * 9))
         wt = rng.uniform(-limit, limit, size=(2, ic, 3, 3)).astype(np.float32)
         b = rng.uniform(-0.5, 0.5, size=2).astype(np.float32)
-        assert ic >= _convpy._TAP_MIN_CHANNELS
-        assert _convpy._row_strip(ic * 9, w, h) < h
-        assert _convpy._tap_rows(2, w + 2, h, False) == rows
-        assert _convpy._tap_rows(2, w + 2, h // 2 * 2, True) == pooled_rows
+        assert ic >= layers._TAP_MIN_CHANNELS
+        assert layers._row_strip(ic * 9, w, h) < h
+        assert layers._tap_rows(2, w + 2, h, False) == rows
+        assert layers._tap_rows(2, w + 2, h // 2 * 2, True) == pooled_rows
         _assert_matches_oracle_pooled_and_not(x, wt, b, 1, 1)
 
     # 3-channel frames too large for one patch matrix run patch-matrix
     # bands.  Under the budget set here the stride-1 frame runs in bands of
     # 4 rows with a short last one (pooled: 4, 4, 4, 2), and the stride-2
     # frame in bands of 7 and 1 (pooled: 6 and 2).
-    monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 27 * 117 * 4)
-    assert _convpy._row_strip(27, 117, 15) == 4
-    assert _convpy._row_strip(27, 59, 8) == 7
+    monkeypatch.setattr(layers, "_STRIP_BUDGET", 27 * 117 * 4)
+    assert layers._row_strip(27, 117, 15) == 4
+    assert layers._row_strip(27, 59, 8) == 7
     x = rng.uniform(-0.5, 0.5, size=(2, 3, 15, 117)).astype(np.float32)
     limit = np.sqrt(6.0 / 27)
     wt = rng.uniform(-limit, limit, size=(2, 3, 3, 3)).astype(np.float32)
     b = rng.uniform(-0.5, 0.5, size=2).astype(np.float32)
-    assert 3 < _convpy._TAP_MIN_CHANNELS
+    assert 3 < layers._TAP_MIN_CHANNELS
     for stride in (1, 2):
         _assert_matches_oracle_pooled_and_not(x, wt, b, stride, 1)
 
@@ -138,7 +138,7 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
         ((11, 75), 1, 10, 72, 7, 6),
         ((13, 187), 2, 6, 92, 5, 4),
     ):
-        assert _convpy._row_strip(24, ow, oh) == rows and oh % rows
+        assert layers._row_strip(24, ow, oh) == rows and oh % rows
         assert rows // 2 * 2 == pooled_rows and oh // 2 * 2 % pooled_rows
         x = rng.uniform(-0.5, 0.5, size=(1, 3, h, w)).astype(np.float32)
         _assert_matches_oracle_pooled_and_not(x, wt, b, stride, 0)
@@ -154,10 +154,10 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
         ((3, 8, 13), (2, 4), 1, 0, (7, 10)),
     ):
         ckk = c * kh * kw
-        monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 2 * ckk * oh * ow)
-        assert _convpy._row_strip(ckk, ow, oh) == oh
+        monkeypatch.setattr(layers, "_STRIP_BUDGET", 2 * ckk * oh * ow)
+        assert layers._row_strip(ckk, ow, oh) == oh
         for rows, cols in ((oh, ow), (oh // 2 * 2, ow // 2 * 2)):
-            assert _convpy._image_chunk(ckk * rows * cols, 5) == 2
+            assert layers._image_chunk(ckk * rows * cols, 5) == 2
         x = rng.uniform(-0.5, 0.5, size=(5, c, h, w)).astype(np.float32)
         limit = np.sqrt(6.0 / ckk)
         wt = rng.uniform(-limit, limit, size=(4, c, kh, kw)).astype(np.float32)
@@ -184,7 +184,7 @@ def test_relu_epilogue_equals_maximum_of_the_conv_bitwise(monkeypatch):
     """relu=True gives the bytes of np.maximum(conv(relu=False), 0) on
     whole-image chunks, tap bands and patch-matrix bands, pooled or not,
     with biases that push many outputs below zero."""
-    monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 27 * 117 * 4)
+    monkeypatch.setattr(layers, "_STRIP_BUDGET", 27 * 117 * 4)
     rng = np.random.default_rng(23)
     cases = [
         # whole-image chunks: a batch of small images
@@ -199,8 +199,8 @@ def test_relu_epilogue_equals_maximum_of_the_conv_bitwise(monkeypatch):
     for x_shape, k_shape, stride in cases:
         _, c, h, w = x_shape
         oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
-        banded = _convpy._row_strip(c * 9, ow, oh) < oh
-        paths.append((banded, banded and stride == 1 and c >= _convpy._TAP_MIN_CHANNELS))
+        banded = layers._row_strip(c * 9, ow, oh) < oh
+        paths.append((banded, banded and stride == 1 and c >= layers._TAP_MIN_CHANNELS))
         x = rng.standard_normal(x_shape).astype(np.float32)
         layer = _layer(
             rng.standard_normal(k_shape), rng.uniform(-1.0, 0.5, k_shape[0]), stride, 1
@@ -255,8 +255,8 @@ def test_conv_gradients_match_finite_differences(monkeypatch):
             # The budget holds two images' kernel-gradient patches, each
             # ckk x oh x ow floats.
             per_image = int(np.prod(w_shape[1:])) * go.shape[2] * go.shape[3]
-            monkeypatch.setattr(_convpy, "_STRIP_BUDGET", 2 * per_image)
-            assert _convpy._image_chunk(per_image, 5) == 2
+            monkeypatch.setattr(layers, "_STRIP_BUDGET", 2 * per_image)
+            assert layers._image_chunk(per_image, 5) == 2
 
         gx, gw, gb = conv2d_backward(x, layer, go)
 
@@ -282,7 +282,7 @@ def test_conv_backward_without_input_gradient_returns_none_for_it():
     # The last case is rf32's stage 1 at batch 64: its kernel-gradient
     # patches take 144 x 16 x 16 floats per image, so the batch runs in
     # several chunks with a short last one.
-    assert 64 % _convpy._image_chunk(144 * 16 * 16, 64) != 0
+    assert 64 % layers._image_chunk(144 * 16 * 16, 64) != 0
     for n, c, size, stride in ((3, 3, 10, 1), (3, 3, 10, 2), (64, 16, 16, 1)):
         x = rng.standard_normal((n, c, size, size)).astype(np.float32)
         layer = _layer(rng.standard_normal((4, c, 3, 3)), stride=stride, pad=1)
@@ -310,7 +310,7 @@ def test_conv_backward_matches_float64_reference_at_training_shapes():
     # The first two stages' kernel gradients run in several image chunks,
     # the last one short: 27 x 32 x 32 and 144 x 16 x 16 floats per image.
     for per_image in (27 * 32 * 32, 144 * 16 * 16):
-        assert 32 % _convpy._image_chunk(per_image, 32) != 0
+        assert 32 % layers._image_chunk(per_image, 32) != 0
     for x_shape, w_shape, stride, pad in cases:
         x = np.maximum(rng.standard_normal(x_shape), 0.0).astype(np.float32)
         limit = np.sqrt(6.0 / np.prod(w_shape[1:]))
@@ -461,20 +461,20 @@ def test_fused_pool_matches_conv_then_pool_bitwise():
             one_by_one = [conv2d_forward(x[i : i + 1], layer, pool) for i in range(len(x))]
             assert np.concatenate(one_by_one).tobytes() == batch.tobytes()
     # Unrounded, the strips of the two wide cases would hold odd row counts.
-    assert _convpy._row_strip(16 * 3 * 3, 240, 30) == 7
-    assert _convpy._row_strip(3 * 3 * 3, 520, 28) == 17
+    assert layers._row_strip(16 * 3 * 3, 240, 30) == 7
+    assert layers._row_strip(3 * 3 * 3, 520, 28) == 17
     # The 16-channel frame runs the tap path in several bands; the
     # 3-channel frames, at stride 2 and at stride 1, run patch-matrix
     # bands, the stride-1 one with a short last band, pooled or not.
-    assert 16 >= _convpy._TAP_MIN_CHANNELS
-    assert _convpy._tap_rows(8, 243, 30, True) < 30
-    assert _convpy._tap_rows(8, 243, 31, False) < 31
-    assert 3 < _convpy._TAP_MIN_CHANNELS
-    assert _convpy._row_strip(27, 1101, 23) == 8
+    assert 16 >= layers._TAP_MIN_CHANNELS
+    assert layers._tap_rows(8, 243, 30, True) < 30
+    assert layers._tap_rows(8, 243, 31, False) < 31
+    assert 3 < layers._TAP_MIN_CHANNELS
+    assert layers._row_strip(27, 1101, 23) == 8
     # The batch-64 case runs in several image chunks, the last one short,
     # pooled (16 x 16 outputs) or not.
-    assert _convpy._row_strip(144, 16, 16) == 16
-    assert 64 % _convpy._image_chunk(144 * 16 * 16, 64) != 0
+    assert layers._row_strip(144, 16, 16) == 16
+    assert 64 % layers._image_chunk(144 * 16 * 16, 64) != 0
 
 
 def test_maxpool_rejects_odd_dims():

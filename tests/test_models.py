@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import central_difference, relative_error
 
-from qmiheat import _convpy, models
+from qmiheat import layers, models
 from qmiheat.errors import DataFormatError
 from qmiheat.layers import conv2d_backward, conv2d_forward
 from qmiheat.models import (
@@ -290,7 +290,7 @@ def test_pool_then_relu_matches_relu_then_pool_reference_bitwise():
         for spec, (_, pre_relu, _) in zip(m.layers[:2], want_caches):
             _, ic, kh, kw = spec.conv.kernel.shape
             oh, ow = pre_relu.shape[2:]
-            assert _convpy._row_strip(ic * kh * kw, ow, oh) < oh // 2
+            assert layers._row_strip(ic * kh * kw, ow, oh) < oh // 2
             odd |= oh % 2 == 1 and ow % 2 == 1
         assert odd
 
