@@ -111,6 +111,7 @@ def _build_parser():
 
 
 def _cmd_synth(args):
+    _check_outputs(args.out)
     spec = SynthSpec(size=args.size, count_per_class=args.per_class, seed=args.seed)
     write_packed(generate_synthetic(spec), args.out)
     print(f"wrote {args.out}: {2 * args.per_class} samples of {args.size}x{args.size}")
@@ -135,12 +136,15 @@ _RUN_FILE = re.compile(r"(?:model_run([1-9][0-9]*)\.vggh|history_run([1-9][0-9]*
 
 
 def _check_out_dir(out_dir, runs):
-    """DataFormatError naming an --out-dir that is a file, or the first
-    model or history file in it of a run numbered above ``runs``, which
-    this run would leave beside its own."""
+    """DataFormatError naming an --out-dir that is a file, a missing parent
+    of it, or the first model or history file in it of a run numbered
+    above ``runs``, which this run would leave beside its own."""
     if not os.path.isdir(out_dir):
         if os.path.exists(out_dir):
             raise DataFormatError(f"{out_dir}: output directory is a file")
+        parent = os.path.dirname(os.path.normpath(out_dir)) or "."
+        if not os.path.isdir(parent):
+            raise DataFormatError(f"{parent}: parent of --out-dir is not a directory")
         return
     stale = sorted(
         (int(m[1] or m[2]), name)
@@ -169,7 +173,8 @@ def _cmd_train(args):
     summary = repeated_experiment(
         config, train_set, test_set, k=args.runs, on_run=lambda _, *run: runs.append(run)
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    if not os.path.isdir(args.out_dir):
+        os.mkdir(args.out_dir)
     for i, (model, history) in enumerate(runs, start=1):
         save_model(model, os.path.join(args.out_dir, f"model_run{i}.vggh"))
         write_history(history, os.path.join(args.out_dir, f"history_run{i}.csv"))

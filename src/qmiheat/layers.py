@@ -257,9 +257,9 @@ def conv2d_forward(x, layer, pool=False, relu=False):
     return out
 
 
-def _maxpool2x2(x, out=None):
-    """2x2/stride-2 max of x (..., 2*h2, 2*w2) into out (..., h2, w2), or
-    into a new array in x's memory order.
+def _maxpool2x2(x):
+    """2x2/stride-2 max of x (..., 2*h2, 2*w2) as a new (..., h2, w2) array
+    in x's memory order.
 
     The max over row pairs first, whose operands are whole contiguous
     rows, then over column pairs of that half-size result: two passes
@@ -268,7 +268,7 @@ def _maxpool2x2(x, out=None):
     the result is unspecified; every other tie returns the shared value.
     """
     rows = np.maximum(x[..., 0::2, :], x[..., 1::2, :])
-    return np.maximum(rows[..., 0::2], rows[..., 1::2], out=out)
+    return np.maximum(rows[..., 0::2], rows[..., 1::2])
 
 
 def conv2d_backward(x, layer, grad_out, input_grad=True):
@@ -285,6 +285,8 @@ def conv2d_backward(x, layer, grad_out, input_grad=True):
     x = _as_f32_nchw(x)
     grad_out = _as_f32_nchw(grad_out)
     n, c, h, wd = x.shape
+    if c != layer.in_channels:
+        raise ValueError(f"input has {c} channels, layer expects {layer.in_channels}")
     oh, ow = layer.out_size(h, wd)
     w, stride, pad = layer.kernel, layer.stride, layer.pad
     oc, ic, kh, kw = w.shape
@@ -373,10 +375,10 @@ def maxpool2x2_infer(x):
     every other tie returns the shared value.
     """
     x = _as_f32_nchw(x)
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    return _maxpool2x2(x, np.empty((n, c, h // 2, w // 2), dtype=np.float32))
+    return _maxpool2x2(x)
 
 
 def maxpool2x2_backward(idx, grad_out):

@@ -43,11 +43,11 @@ _FORMAT_VERSION = 1
 
 @dataclass
 class LayerSpec:
-    """One stage of the stack: convolution plus optional ReLU / 2x2 pool."""
+    """One stage of the stack.  Every stage but the last (the head) is a
+    feature stage: its convolution is followed by a 2x2 max-pool and a
+    ReLU."""
 
     conv: ConvLayer
-    relu: bool
-    pool: bool
 
 
 @dataclass
@@ -79,17 +79,17 @@ class OutputGeometry:
 
 
 def _architecture(variant):
-    """Per-layer layout of a variant, in order: (kernel shape, stride, pad,
-    relu, pool) with kernel shape (out_ch, in_ch, kh, kw)."""
+    """Per-layer layout of a variant, in order: (kernel shape, stride, pad)
+    with kernel shape (out_ch, in_ch, kh, kw)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     plan = []
     in_ch = 3
     for i, out_ch in enumerate(CHANNELS):
         stride = _FIRST_CONV_STRIDE[variant] if i == 0 else 1
-        plan.append(((out_ch, in_ch, 3, 3), stride, 1, True, True))
+        plan.append(((out_ch, in_ch, 3, 3), stride, 1))
         in_ch = out_ch
-    plan.append(((2, in_ch, 2, 2), 1, 0, False, False))
+    plan.append(((2, in_ch, 2, 2), 1, 0))
     return plan
 
 
@@ -104,14 +104,14 @@ def build_model(variant, seed):
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     layers = []
-    for shape, stride, pad, relu, pool in plan:
+    for shape, stride, pad in plan:
         conv = ConvLayer(
             kernel=_init_kernel(rng, *shape),
             bias=np.zeros(shape[0], dtype=np.float32),
             stride=stride,
             pad=pad,
         )
-        layers.append(LayerSpec(conv=conv, relu=relu, pool=pool))
+        layers.append(LayerSpec(conv=conv))
     return NetworkSpec(variant=variant, layers=layers)
 
 
@@ -170,11 +170,12 @@ def forward_scores(model, x):
     frame.  On even dims the crop is the whole, contiguous array, so
     training-size inputs pass through unchanged.
     """
-    for spec in model.layers:
+    *features, head = model.layers
+    for spec in features:
         if spec.conv.stride == 2:
             x = _crop_even(x)
-        x = conv2d_forward(x, spec.conv, pool=spec.pool, relu=spec.relu)
-    return x
+        x = conv2d_forward(x, spec.conv, pool=True, relu=True)
+    return conv2d_forward(x, head.conv)
 
 
 def forward_training(model, x):
@@ -182,9 +183,10 @@ def forward_training(model, x):
 
     Returns (scores, embeddings, caches): scores N x 2 from the single
     output cell, embeddings N x d as the flattened post-pool activations of
-    the embedding layer, and per-layer caches ``(conv_in, pool_idx)``.
+    the embedding layer, and per-layer caches ``(conv_in, pool_idx)``,
+    the head's pool_idx None.
 
-    Each stage pools before its ReLU: max-pooling commutes with the
+    Each feature stage pools before its ReLU: max-pooling commutes with the
     monotone ReLU, so the outputs equal ReLU-then-pool while the ReLU
     touches a quarter of the elements.
     """
@@ -195,19 +197,14 @@ def forward_training(model, x):
             f"inputs, got {x.shape[2]}x{x.shape[3]}"
         )
     caches = []
-    for spec in model.layers:
-        conv_in = x
-        x = conv2d_forward(x, spec.conv)
-        pool_idx = None
-        if spec.pool:
-            x, pool_idx = maxpool2x2_forward(x)
-        if spec.relu:
-            x = relu_forward(x)
-        caches.append((conv_in, pool_idx))
-    if x.shape[2:] != (1, 1):
-        raise ValueError(f"training forward must end in a 1x1 cell, got {x.shape}")
-    embedding_map = caches[-1][0]
-    return x.reshape(n, 2), embedding_map.reshape(n, -1), caches
+    *features, head = model.layers
+    for spec in features:
+        pooled, pool_idx = maxpool2x2_forward(conv2d_forward(x, spec.conv))
+        caches.append((x, pool_idx))
+        x = relu_forward(pooled)
+    caches.append((x, None))
+    scores = conv2d_forward(x, head.conv)
+    return scores.reshape(n, 2), x.reshape(n, -1), caches
 
 
 def backprop(model, caches, grad_scores, grad_embedding=None):
@@ -223,27 +220,21 @@ def backprop(model, caches, grad_scores, grad_embedding=None):
     was, and the pooled pre-activation is never stored.
     """
     n = grad_scores.shape[0]
-    param_grads = [None] * len(model.layers)
-
-    head = model.layers[-1]
-    conv_in, _ = caches[-1]
+    *features, head = model.layers
     g = grad_scores.reshape(n, 2, 1, 1).astype(np.float32, copy=False)
-    g, gk, gb = conv2d_backward(conv_in, head.conv, g)
-    param_grads[-1] = (gk, gb)
+    g, gk, gb = conv2d_backward(caches[-1][0], head.conv, g)
+    param_grads = [(gk, gb)]
 
     if grad_embedding is not None:
         g = g + grad_embedding.reshape(g.shape).astype(np.float32, copy=False)
 
-    for i in range(len(model.layers) - 2, -1, -1):
-        spec = model.layers[i]
+    for i in reversed(range(len(features))):
         conv_in, pool_idx = caches[i]
-        if spec.relu:
-            g = relu_backward(caches[i + 1][0], g)
-        if spec.pool:
-            g = maxpool2x2_backward(pool_idx, g)
+        g = relu_backward(caches[i + 1][0], g)
+        g = maxpool2x2_backward(pool_idx, g)
         # Nothing reads the network input's gradient.
-        g, gk, gb = conv2d_backward(conv_in, spec.conv, g, input_grad=i > 0)
-        param_grads[i] = (gk, gb)
+        g, gk, gb = conv2d_backward(conv_in, features[i].conv, g, input_grad=i > 0)
+        param_grads.insert(0, (gk, gb))
     return param_grads
 
 
@@ -296,7 +287,7 @@ def load_model(path):
 
     layers = []
     plan = _architecture(variant)
-    for i, (shape, want_stride, want_pad, relu, pool) in enumerate(plan):
+    for i, (shape, want_stride, want_pad) in enumerate(plan):
         oc, ic, kh, kw, stride, pad = struct.unpack(
             "<6I", need(24, f"layer {i} header")
         )
@@ -315,7 +306,7 @@ def load_model(path):
             stride=stride,
             pad=pad,
         )
-        layers.append(LayerSpec(conv=conv, relu=relu, pool=pool))
+        layers.append(LayerSpec(conv=conv))
     if off != len(blob):
         raise DataFormatError(
             f"{path}: {len(blob) - off} trailing bytes after offset {off}"

@@ -196,26 +196,6 @@ def _map(pool, fn, items):
     return [call.result() for call in calls]
 
 
-@contextmanager
-def _workers(tasks):
-    """A pool of min(tasks, CPUs this process may run on) threads, or None
-    when that is one; its threads are joined on exit."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    size = min(tasks, cpus)
-    if size < 2:
-        yield None
-        return
-    # Imported here: it imports logging, which costs a process that only
-    # scores frames ~5 ms of start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(size, thread_name_prefix="qmiheat") as pool:
-        yield pool
-
-
 def _bundled_openblas():
     """(get, set) thread-count functions of the OpenBLAS in numpy's wheel (in
     ``numpy.libs`` or macOS's ``numpy/.dylibs``; numpy 2's symbols have a
@@ -232,34 +212,45 @@ def _bundled_openblas():
 
 
 @contextmanager
-def _one_blas_thread():
-    """Runs the block on one BLAS thread, then restores the thread count.
+def _workers():
+    """Runs the block on one BLAS thread with a pool of up to one worker
+    thread per CPU this process may run on, or None on one CPU; on exit
+    the pool's threads are joined and the BLAS thread count restored.
 
-    OpenBLAS sums some products in another order on more threads.  The
-    count is process-wide.  Only numpy's bundled OpenBLAS is pinned; under
-    any other BLAS, training bytes hold only at a fixed thread count.
+    The pool starts a thread only when a task finds none idle.  OpenBLAS
+    sums some products in another order on more threads, and its count is
+    process-wide.  Only numpy's bundled OpenBLAS is pinned; under any
+    other BLAS, training bytes hold only at a fixed thread count.
     """
-    found = _bundled_openblas()
-    threads = found[0]() if found else 1
-    if threads == 1:
-        yield
-        return
-    found[1](1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    get, put = _bundled_openblas() or (lambda: 1, lambda threads: None)
+    threads = get()
+    put(1)
     try:
-        yield
+        if cpus < 2:
+            yield None
+            return
+        # Imported here: it imports logging, which costs a process that only
+        # scores frames ~5 ms of start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(cpus, thread_name_prefix="qmiheat") as pool:
+            yield pool
     finally:
-        found[1](threads)
+        put(threads)
 
 
-@_one_blas_thread()
 def train(config, train_set, test_set):
     """Full training run; returns (model, history).
 
     Each batch's shards, and the test set's batches, run on a pool of up
     to one worker thread per CPU (see ``batch_gradients``), created for
     the run and shut down before it returns.  The run holds the process's
-    BLAS at one thread (see ``_one_blas_thread``), so its bytes depend
-    neither on the CPU count nor on the BLAS thread count.
+    BLAS at one thread (see ``_workers``), so its bytes depend neither on
+    the CPU count nor on the BLAS thread count.
     Raises TrainingDivergedError, naming the epoch and the batch, when a
     batch scores non-finite or an epoch ends with non-finite parameters.
     """
@@ -267,9 +258,7 @@ def train(config, train_set, test_set):
         raise ValueError("datasets must be non-empty")
     check_window(config.variant, train_set, "train images")
     check_window(config.variant, test_set, "test images")
-    n = len(train_set)
-    tasks = max(_count(min(config.batch_size, n), _SHARD), _count(len(test_set), _EVAL_BATCH))
-    with _workers(tasks) as pool:
+    with _workers() as pool:
         return _train(config, train_set, test_set, pool)
 
 
@@ -313,15 +302,14 @@ def _train(config, train_set, test_set, pool):
     return model, history
 
 
-@_one_blas_thread()
 def evaluate(model, dataset):
     """Fraction of samples whose 2-channel argmax matches the label;
     ValueError if the images are not the model's window.  Its batches run
-    on up to one worker thread per CPU."""
+    on up to one worker thread per CPU, on one BLAS thread."""
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
     check_window(model.variant, dataset, "images")
-    with _workers(_count(len(dataset), _EVAL_BATCH)) as pool:
+    with _workers() as pool:
         return _accuracy(model, dataset, pool)
 
 
@@ -334,11 +322,6 @@ def check_window(variant, dataset, what):
         raise ValueError(
             f"{what} are {h}x{w}, {variant} takes {window}x{window} windows"
         )
-
-
-def _count(n, size):
-    """Pieces of at most ``size`` that n items make."""
-    return -(-n // size)
 
 
 def _accuracy(model, dataset, pool):

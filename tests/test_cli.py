@@ -10,6 +10,7 @@ import pytest
 from conftest import NON_DEFAULT_CONFIG
 
 import qmiheat
+from qmiheat import cli
 from qmiheat.cli import _build_parser, _train_config, run_cli
 from qmiheat.config import load_config
 from qmiheat.data import (
@@ -53,6 +54,21 @@ def test_synth_writes_the_seeded_dataset(tmp_path, capsys):
     want = generate_synthetic(SynthSpec(size=32, count_per_class=3, seed=5))
     assert np.array_equal(ds.pixels, want.pixels)
     assert np.array_equal(ds.labels, want.labels)
+
+
+def test_synth_checks_its_output_before_it_generates(tmp_path, capsys, monkeypatch):
+    def generate_spy(spec):
+        raise AssertionError("synth generated before checking --out")
+
+    monkeypatch.setattr(cli, "generate_synthetic", generate_spy)
+    missing = tmp_path / "nodir" / "set.pids"
+    for path, why in ((tmp_path, "output is a directory"),
+                      (missing, "output directory does not exist")):
+        assert run_cli(["synth", "--out", str(path), "--per-class", "1"]) == 2
+        captured = capsys.readouterr()
+        assert f"data error: {path}: {why}" in captured.err
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_size_64(tmp_path):
@@ -116,6 +132,27 @@ def test_train_refuses_files_of_runs_beyond_its_count(tmp_path, split_files, cap
         err = capsys.readouterr().err
         assert f"data error: {out_dir / first}: output of a run beyond --runs {runs}" in err
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_train_refuses_an_out_dir_without_its_parent(tmp_path, split_files, capsys):
+    """An --out-dir whose parent is missing, or is a file, exits 2 naming
+    the parent before it reads any input; no directory is created."""
+    train_p, test_p = split_files
+    (tmp_path / "file").write_text("kept")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for parent in (tmp_path / "missing" / "deeper", tmp_path / "file"):
+        for train in (train_p, tmp_path / "absent.pids"):
+            argv = [
+                "train",
+                "--train", str(train),
+                "--test", str(test_p),
+                "--out-dir", str(parent / "runs"),
+                "--epochs", "1",
+            ]
+            assert run_cli(argv) == 2
+            err = capsys.readouterr().err
+            assert f"data error: {parent}: parent of --out-dir is not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_train_flags_override_config_file(tmp_path, split_files):

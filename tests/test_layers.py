@@ -221,6 +221,18 @@ def test_forward_rejects_channel_mismatch_and_undersized_input():
         conv2d_forward(np.zeros((1, 2, 2, 2), dtype=np.float32), layer)
 
 
+def test_backward_rejects_channel_mismatch_before_any_compute(monkeypatch):
+    def forward_spy(*args, **kwargs):
+        raise AssertionError("conv2d_backward computed an input gradient")
+
+    monkeypatch.setattr(layers, "conv2d_forward", forward_spy)
+    layer = _layer(np.ones((2, 3, 3, 3)), pad=1)
+    x, grad_out = np.ones((1, 4, 5, 5)), np.ones((1, 2, 5, 5))
+    for input_grad in (True, False):
+        with pytest.raises(ValueError, match="input has 4 channels, layer expects 3"):
+            conv2d_backward(x, layer, grad_out, input_grad=input_grad)
+
+
 def test_conv_gradients_match_finite_differences(monkeypatch):
     rng = np.random.default_rng(7)
     cases = [

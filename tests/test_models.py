@@ -224,14 +224,15 @@ def _relu_then_pool_walk(model, x):
     and even crops as forward_scores places them; returns the score map
     and per-layer (conv_in, pre_relu, argmax) caches."""
     caches = []
-    for spec in model.layers:
+    for i, spec in enumerate(model.layers):
+        feature = i < len(model.layers) - 1  # every stage but the head
         if spec.conv.stride == 2:
             x = x[:, :, : x.shape[2] // 2 * 2, : x.shape[3] // 2 * 2]
         conv_in = x
         pre_relu = conv2d_forward(x, spec.conv)
-        x = np.maximum(pre_relu, 0) if spec.relu else pre_relu
+        x = np.maximum(pre_relu, 0) if feature else pre_relu
         idx = None
-        if spec.pool:
+        if feature:
             x = x[:, :, : x.shape[2] // 2 * 2, : x.shape[3] // 2 * 2]
             x, idx = _argmax_pool(x)
         caches.append((conv_in, pre_relu, idx))
@@ -297,8 +298,8 @@ def test_pool_then_relu_matches_relu_then_pool_reference_bitwise():
 
 def test_forward_scores_makes_one_conv_call_per_stage(monkeypatch):
     """The dense walk rectifies inside each stage's convolution: one conv
-    call per layer, with the ReLU and pool flags of the architecture, and
-    no separate relu_infer call."""
+    call per layer, pooled and rectified in every feature stage and in
+    neither in the head, and no separate relu_infer call."""
     calls = []
 
     def conv_spy(x, layer, pool=False, relu=False):
@@ -316,7 +317,6 @@ def test_forward_scores_makes_one_conv_call_per_stage(monkeypatch):
         frame = rng.random((1, 3, 75, 141), dtype=np.float32)
         calls.clear()
         forward_scores(m, frame)
-        assert calls == [(spec.pool, spec.relu) for spec in m.layers]
         assert calls == [(True, True)] * 4 + [(False, False)]
 
 
@@ -412,17 +412,18 @@ def test_load_rejects_layers_that_disagree_with_the_variant(tmp_path):
 
 
 def test_loaded_model_takes_relu_and_pool_from_the_architecture(tmp_path):
+    rng = np.random.default_rng(8)
     for variant in VARIANTS:
         m = build_model(variant, seed=1)
         p = tmp_path / f"{variant}.vggh"
         save_model(m, p)
         loaded = load_model(p)
-        assert [(s.relu, s.pool) for s in loaded.layers] == [
-            (s.relu, s.pool) for s in m.layers
-        ]
         assert [(s.conv.stride, s.conv.pad) for s in loaded.layers] == [
             (s.conv.stride, s.conv.pad) for s in m.layers
         ]
+        # A frame larger than the window runs every feature stage's pool.
+        frame = rng.random((1, 3, 2 * m.window_px + 5, 3 * m.window_px), dtype=np.float32)
+        assert forward_scores(loaded, frame).tobytes() == forward_scores(m, frame).tobytes()
 
 
 def test_loaded_model_runs_forward(tmp_path):

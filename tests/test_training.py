@@ -253,6 +253,23 @@ def test_train_and_evaluate_join_their_worker_threads(tiny_split):
     assert threading.active_count() == before
 
 
+@pytest.mark.skipif(_bundled_openblas() is None, reason="numpy does not use a bundled OpenBLAS")
+def test_diverging_train_restores_blas_threads_and_joins_its_workers(tiny_split):
+    train_set, test_set = tiny_split
+    get, put = _bundled_openblas()
+    threads = get()
+    before = threading.active_count()
+    put(2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError):
+                train(_small_config(batch_size=64, lr_initial=1e30), train_set, test_set)
+        assert get() == 2
+    finally:
+        put(threads)
+    assert threading.active_count() == before
+
+
 def test_j_class_decreases_over_early_epochs():
     train_set, test_set = generate_synthetic_split(32, 100, 25, seed=7)
     cfg = TrainConfig(variant="rf32", epochs=4, batch_size=32, seed=0)
