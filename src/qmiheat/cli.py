@@ -13,7 +13,7 @@ import os
 import re
 import sys
 
-from .config import load_config, save_config
+from .config import load_config, save_config, write_file
 from .data import (
     SynthSpec,
     generate_synthetic,
@@ -169,10 +169,7 @@ def _cmd_train(args):
         check_window(config.variant, dataset, f"{path}: images")
     # Every run is kept in memory (~70 KB each) and written once all have
     # succeeded, so a diverged run leaves no directory and no file behind.
-    runs = []
-    summary = repeated_experiment(
-        config, train_set, test_set, k=args.runs, on_run=lambda _, *run: runs.append(run)
-    )
+    summary, runs = repeated_experiment(config, train_set, test_set, k=args.runs)
     if not os.path.isdir(args.out_dir):
         os.mkdir(args.out_dir)
     for i, (model, history) in enumerate(runs, start=1):
@@ -245,8 +242,7 @@ def _cmd_bench(args):
     text = serialize_bench_report(report)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        write_file(args.out, text.encode("ascii"))
     return 0
 
 
@@ -261,6 +257,9 @@ def _cmd_rank(args):
         write_pgm(render_rank_plot(table, result), args.plot)
     return 0
 
+
+# The options that name a file or directory their command writes.
+_OUTPUTS = ("out", "out_dir", "render", "overlay", "plot")
 
 _COMMANDS = {
     "synth": _cmd_synth,
@@ -279,6 +278,9 @@ def run_cli(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
+        for dest in _OUTPUTS:
+            if getattr(args, dest, None) == "":
+                raise DataFormatError(f"--{dest.replace('_', '-')}: output path is empty")
         return _COMMANDS[args.command](args)
     # Ahead of ValueError, which DataFormatError subclasses.
     except (DataFormatError, OSError) as exc:

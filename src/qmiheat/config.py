@@ -1,10 +1,16 @@
-"""Flat key=value configuration text.
+"""Flat key=value configuration text, and the package's file I/O.
 
 One option per line, ``#`` starts a comment, blank lines ignored.  The
 normalized form is ``key=value`` with whitespace trimmed, in first-seen
 key order; re-serializing a parsed config reproduces it exactly.  Float
 values are written with ``repr`` so they parse back to the same float.
+
+Every file the package writes goes through ``write_file``, so it is
+written whole or not at all.
 """
+
+import os
+import secrets
 
 from .errors import DataFormatError
 
@@ -45,10 +51,34 @@ def read_ascii(path):
         ) from None
 
 
+def write_file(path, *chunks):
+    """Write the bytes-like ``chunks`` to ``path``, whole or not at all.
+
+    They go to a new file beside the target, created with the default
+    mode, which then replaces the target; on any exception that file is
+    removed and the target is left as it was.  A symlink is written
+    through.  An existing target that is not a regular file, such as a
+    pipe or a device, is written in place.
+    """
+    # Tested before realpath: /dev/stdout on a pipe resolves to no path.
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    path = path if in_place else os.path.realpath(path)
+    tmp = path if in_place else f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "wb" if in_place else "xb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        if not in_place:
+            os.replace(tmp, path)
+    except BaseException:
+        if not in_place:
+            os.unlink(tmp)
+        raise
+
+
 def load_config(path):
     return parse_config(read_ascii(path), source=str(path))
 
 
 def save_config(mapping, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_config(mapping))
+    write_file(path, serialize_config(mapping).encode("ascii"))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import write_file
 from .errors import DataFormatError
 
 _MAGIC = b"PIDS"
@@ -95,11 +96,8 @@ def _unit_nchw(px):
 def write_packed(dataset, path):
     n = len(dataset)
     h, w = dataset.image_hw
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, n, h, w, 3))
-        for i in range(n):
-            fh.write(bytes([int(dataset.labels[i])]))
-            fh.write(dataset.pixels[i].tobytes())
+    records = np.column_stack((dataset.labels, dataset.pixels.reshape(n, 3 * h * w)))
+    write_file(path, _HEADER.pack(_MAGIC, n, h, w, 3), records)
 
 
 def load_packed(path):
@@ -256,15 +254,15 @@ def read_ppm(path):
 
 def write_ppm(pixels, path):
     """uint8 (h, w, 3) RGB as binary PPM (P6)."""
-    px = check_image(pixels)
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (px.shape[1], px.shape[0]))
-        fh.write(px.tobytes())
+    _write_pnm(pixels, path, gray=False)
 
 
 def write_pgm(pixels, path):
     """uint8 (h, w) grayscale as binary PGM (P5)."""
-    px = check_image(pixels, gray=True)
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (px.shape[1], px.shape[0]))
-        fh.write(px.tobytes())
+    _write_pnm(pixels, path, gray=True)
+
+
+def _write_pnm(pixels, path, gray):
+    px = check_image(pixels, gray=gray)
+    header = b"%s\n%d %d\n255\n" % (b"P5" if gray else b"P6", px.shape[1], px.shape[0])
+    write_file(path, header, px.tobytes())

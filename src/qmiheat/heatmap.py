@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import serialize_config
+from .config import serialize_config, write_file
 from .data import check_image, image_to_float
 from .errors import DataFormatError
 from .models import STRIDE_PX, VARIANTS, WINDOW_PX, forward_scores, output_geometry
@@ -180,9 +180,7 @@ def write_heatmap(heatmap, path):
         f"window {heatmap.window_px}\n"
         f"source {heatmap.source_h} {heatmap.source_w}\n"
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(heatmap.grid.astype("<f4", copy=False).tobytes())
+    write_file(path, header.encode("ascii"), heatmap.grid.astype("<f4", copy=False).tobytes())
 
 
 def load_heatmap(path):

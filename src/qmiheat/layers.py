@@ -116,10 +116,6 @@ class ConvLayer:
         self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
 
     @property
-    def out_channels(self):
-        return self.kernel.shape[0]
-
-    @property
     def in_channels(self):
         return self.kernel.shape[1]
 

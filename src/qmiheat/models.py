@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import write_file
 from .errors import DataFormatError
 from .layers import (
     ConvLayer,
@@ -255,8 +256,7 @@ def save_model(model, path):
         blob += struct.pack("<6I", oc, ic, kh, kw, conv.stride, conv.pad)
         blob += conv.kernel.astype("<f4", copy=False).tobytes()
         blob += conv.bias.astype("<f4", copy=False).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_file(path, blob)
 
 
 def load_model(path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import save_config
+from .config import save_config, write_file
 from .data import to_float
 from .errors import DataFormatError, TrainingDivergedError
 from .layers import OptimizerState, sgd_momentum_step
@@ -334,37 +334,30 @@ def _accuracy(model, dataset, pool):
     return sum(_map(pool, correct, range(0, len(dataset), _EVAL_BATCH))) / len(dataset)
 
 
-def repeated_experiment(config, train_set, test_set, k=5, on_run=None):
-    """k independent runs with seeds seed+0..k-1; summarizes max test
-    accuracies as mean and population std.
+def repeated_experiment(config, train_set, test_set, k=5):
+    """k independent runs with seeds seed+0..k-1.
 
-    ``on_run(index, model, history)`` fires after each run, for callers
-    that persist per-run artifacts.
+    Returns ``(summary, runs)``: the max test accuracies as mean and
+    population std, and each run's ``(model, history)`` in seed order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    maxima = []
-    for i in range(k):
-        run_config = replace(config, seed=config.seed + i)
-        model, history = train(run_config, train_set, test_set)
-        maxima.append(history.max_test_accuracy)
-        if on_run is not None:
-            on_run(i, model, history)
+    runs = [train(replace(config, seed=config.seed + i), train_set, test_set) for i in range(k)]
+    maxima = [history.max_test_accuracy for _, history in runs]
     arr = np.asarray(maxima, dtype=np.float64)
     return ExperimentSummary(
         max_accuracies=maxima, mean=float(arr.mean()), std=float(arr.std())
-    )
+    ), runs
 
 
 def write_history(history, path):
     """Comma-separated rows: epoch, j_class, j_mi, test_accuracy."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,j_class,j_mi,test_accuracy\n")
-        for i in range(len(history.epochs)):
-            fh.write(
-                f"{history.epochs[i]},{float(history.j_class[i])!r},"
-                f"{float(history.j_mi[i])!r},{float(history.test_accuracy[i])!r}\n"
-            )
+    text = "epoch,j_class,j_mi,test_accuracy\n" + "".join(
+        f"{history.epochs[i]},{float(history.j_class[i])!r},"
+        f"{float(history.j_mi[i])!r},{float(history.test_accuracy[i])!r}\n"
+        for i in range(len(history.epochs))
+    )
+    write_file(path, text.encode("ascii"))
 
 
 def write_summary(summary, path):

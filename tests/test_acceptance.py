@@ -279,15 +279,8 @@ def desk_runs():
     out = {}
     for name, eta in (("baseline", 0.0), ("regularized", 0.001)):
         config = TrainConfig(variant="rf32", eta=eta, batch_size=64, epochs=10, seed=0)
-        histories = []
-        summary = repeated_experiment(
-            config,
-            train_set,
-            test_set,
-            k=5,
-            on_run=lambda i, model, hist: histories.append(hist),
-        )
-        out[name] = (summary, histories)
+        summary, runs = repeated_experiment(config, train_set, test_set, k=5)
+        out[name] = (summary, [hist for _, hist in runs])
     out["elapsed"] = time.perf_counter() - t0
     return out
 

@@ -71,6 +71,36 @@ def test_synth_checks_its_output_before_it_generates(tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--out", ""],
+        ["train", "--train", "tr.pids", "--test", "te.pids", "--out-dir", ""],
+        ["heatmap", "--model", "m.vggh", "--image", "f.ppm", "--out", ""],
+        ["heatmap", "--model", "m.vggh", "--image", "f.ppm", "--out", "f.hmap", "--render", ""],
+        ["heatmap", "--model", "m.vggh", "--image", "f.ppm", "--out", "f.hmap", "--overlay", ""],
+        ["bench", "--out", ""],
+        ["rank", "--table", "s.csv", "--plot", ""],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_an_empty_output_path_exits_2_naming_its_option_before_any_work(
+    argv, tmp_path, capsys, monkeypatch
+):
+    def spy(*args, **kwargs):
+        raise AssertionError("work began before the output paths were checked")
+
+    for name in ("generate_synthetic", "load_config", "load_packed", "load_model",
+                 "read_ppm", "build_model", "load_score_table"):
+        monkeypatch.setattr(cli, name, spy)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qmiheat: data error: {argv[-2]}: output path is empty\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_size_64(tmp_path):
     out = tmp_path / "big.pids"
     assert run_cli(["synth", "--out", str(out), "--size", "64", "--per-class", "2"]) == 0

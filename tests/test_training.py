@@ -386,12 +386,12 @@ def test_evaluate_rejects_empty():
 def test_repeated_experiment_k1_and_forced_seeds(tiny_split):
     train_set, test_set = tiny_split
     cfg = _small_config(epochs=2, batch_size=8)
-    s1 = repeated_experiment(cfg, train_set, test_set, k=1)
+    s1, _ = repeated_experiment(cfg, train_set, test_set, k=1)
     assert s1.std == 0.0
     assert s1.mean == s1.max_accuracies[0]
 
     # run i trains with seed cfg.seed + i
-    s3 = repeated_experiment(cfg, train_set, test_set, k=3)
+    s3, _ = repeated_experiment(cfg, train_set, test_set, k=3)
     for i in range(3):
         _, history = train(_small_config(epochs=2, batch_size=8, seed=i), train_set, test_set)
         assert s3.max_accuracies[i] == history.max_test_accuracy
@@ -400,29 +400,28 @@ def test_repeated_experiment_k1_and_forced_seeds(tiny_split):
 def test_repeated_experiment_is_reproducible(tiny_split):
     train_set, test_set = tiny_split
     cfg = _small_config(epochs=2, batch_size=8)
-    a = repeated_experiment(cfg, train_set, test_set, k=2)
-    b = repeated_experiment(cfg, train_set, test_set, k=2)
+    a, _ = repeated_experiment(cfg, train_set, test_set, k=2)
+    b, _ = repeated_experiment(cfg, train_set, test_set, k=2)
     assert a.max_accuracies == b.max_accuracies
     assert a.mean == b.mean and a.std == b.std
 
 
-def test_repeated_experiment_callback_order(tiny_split):
+def test_repeated_experiment_returns_its_runs_in_seed_order(tiny_split):
     train_set, test_set = tiny_split
-    seen = []
-    repeated_experiment(
-        _small_config(epochs=1, batch_size=8),
-        train_set,
-        test_set,
-        k=2,
-        on_run=lambda i, model, hist: seen.append((i, hist.max_test_accuracy)),
+    summary, runs = repeated_experiment(
+        _small_config(epochs=1, batch_size=8), train_set, test_set, k=2
     )
-    assert [i for i, _ in seen] == [0, 1]
+    assert [hist.max_test_accuracy for _, hist in runs] == summary.max_accuracies
+    model, _ = train(_small_config(epochs=1, batch_size=8, seed=1), train_set, test_set)
+    assert [spec.conv.kernel.tobytes() for spec in runs[1][0].layers] == [
+        spec.conv.kernel.tobytes() for spec in model.layers
+    ]
 
 
 def test_summary_std_is_population_std(tiny_split):
     train_set, test_set = tiny_split
     cfg = _small_config(epochs=1, batch_size=8)
-    s = repeated_experiment(cfg, train_set, test_set, k=2)
+    s, _ = repeated_experiment(cfg, train_set, test_set, k=2)
     arr = np.asarray(s.max_accuracies)
     assert s.mean == pytest.approx(float(arr.mean()), abs=0)
     # population convention: sqrt of the mean squared deviation, no n-1
