@@ -12,6 +12,7 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import fields
 
 from .config import load_config, save_config, write_file
 from .data import (
@@ -31,9 +32,11 @@ from .heatmap import (
     serialize_bench_report,
     write_heatmap,
 )
-from .models import VARIANTS, build_model, load_model, save_model
+from .losses import LOSSES
+from .models import VARIANTS, WINDOW_PX, build_model, load_model, save_model
 from .ranking import DEFAULT_Q, format_report, load_score_table, rank_methods, render_rank_plot
 from .training import (
+    TrainConfig,
     check_window,
     config_from_mapping,
     config_keys,
@@ -59,32 +62,32 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p.set_defaults(handler=_cmd_synth)
     p.add_argument("--out", required=True, help="output packed-dataset path")
-    p.add_argument("--size", type=int, default=32, choices=(32, 64))
+    p.add_argument("--size", type=int, default=32, choices=tuple(WINDOW_PX.values()))
     p.add_argument("--per-class", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train one or more runs")
+    p.set_defaults(handler=_cmd_train)
     p.add_argument("--train", required=True, dest="train_path")
     p.add_argument("--test", required=True, dest="test_path")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--loss", choices=("hinge", "ce"))
-    p.add_argument("--eta", type=float)
-    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr-initial", type=float)
-    p.add_argument("--lr-final", type=float)
-    p.add_argument("--momentum", type=float)
+    # One flag per TrainConfig field, its dest the field's config key.
+    choices = {"variant": VARIANTS, "loss": tuple(LOSSES)}
+    for key, f in zip(config_keys(), fields(TrainConfig)):
+        flag = "--batch" if key == "batch_size" else f"--{key.replace('_', '-')}"
+        p.add_argument(flag, dest=key, type=f.type, choices=choices.get(key))
     p.add_argument("--runs", type=int, default=1)
 
     p = sub.add_parser("eval", help="accuracy of a model on a dataset")
+    p.set_defaults(handler=_cmd_eval)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
 
     p = sub.add_parser("heatmap", help="full-frame inference on one image")
+    p.set_defaults(handler=_cmd_heatmap)
     p.add_argument("--model", required=True)
     p.add_argument("--image", required=True, help="binary PPM (P6) input")
     p.add_argument("--out", required=True, help="output heatmap path")
@@ -92,6 +95,7 @@ def _build_parser():
     p.add_argument("--overlay", help="also write a source-size PGM overlay")
 
     p = sub.add_parser("bench", help="full-frame inference throughput")
+    p.set_defaults(handler=_cmd_bench)
     p.add_argument("--model", help="model file; omit to build fresh")
     p.add_argument("--variant", choices=VARIANTS, default="rf32")
     p.add_argument("--seed", type=int, default=0)
@@ -102,6 +106,7 @@ def _build_parser():
     p.add_argument("--out", help="write the report here as well")
 
     p = sub.add_parser("rank", help="critical-difference report for a score table")
+    p.set_defaults(handler=_cmd_rank)
     p.add_argument("--table", required=True, help="comma-separated score table")
     p.add_argument("--q-alpha", type=float, default=DEFAULT_Q)
     p.add_argument("--control", type=int, default=0, help="row index of the control")
@@ -111,7 +116,6 @@ def _build_parser():
 
 
 def _cmd_synth(args):
-    _check_outputs(args.out)
     spec = SynthSpec(size=args.size, count_per_class=args.per_class, seed=args.seed)
     write_packed(generate_synthetic(spec), args.out)
     print(f"wrote {args.out}: {2 * args.per_class} samples of {args.size}x{args.size}")
@@ -195,17 +199,7 @@ def _cmd_eval(args):
     return 0
 
 
-def _check_outputs(*paths):
-    """DataFormatError naming the first given output that cannot be written."""
-    for path in filter(None, paths):
-        if os.path.isdir(path):
-            raise DataFormatError(f"{path}: output is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise DataFormatError(f"{path}: output directory does not exist")
-
-
 def _cmd_heatmap(args):
-    _check_outputs(args.out, args.render, args.overlay)
     model = load_model(args.model)
     pixels = read_ppm(args.image)
     try:
@@ -224,20 +218,10 @@ def _cmd_heatmap(args):
     return 0
 
 
-def _bench_model(args):
-    if args.model:
-        return load_model(args.model)
-    return build_model(args.variant, args.seed)
-
-
 def _cmd_bench(args):
-    _check_outputs(args.out)
+    model = load_model(args.model) if args.model else build_model(args.variant, args.seed)
     report = benchmark_fps(
-        _bench_model(args),
-        args.height,
-        args.width,
-        n_frames=args.frames,
-        warmup=args.warmup,
+        model, args.height, args.width, n_frames=args.frames, warmup=args.warmup
     )
     text = serialize_bench_report(report)
     sys.stdout.write(text)
@@ -247,7 +231,6 @@ def _cmd_bench(args):
 
 
 def _cmd_rank(args):
-    _check_outputs(args.plot)
     table = load_score_table(args.table)
     if not 0 <= args.control < len(table.methods):
         raise ValueError(f"--control {args.control} out of range")
@@ -261,14 +244,22 @@ def _cmd_rank(args):
 # The options that name a file or directory their command writes.
 _OUTPUTS = ("out", "out_dir", "render", "overlay", "plot")
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "heatmap": _cmd_heatmap,
-    "bench": _cmd_bench,
-    "rank": _cmd_rank,
-}
+
+def _check_outputs(args):
+    """DataFormatError naming the first output option given empty, else the
+    first file output that is a directory or lies in a missing one.
+    ``_cmd_train`` checks --out-dir itself, after --runs."""
+    given = [(dest, getattr(args, dest, None)) for dest in _OUTPUTS]
+    for dest, path in given:
+        if path == "":
+            raise DataFormatError(f"--{dest.replace('_', '-')}: output path is empty")
+    for dest, path in given:
+        if path is None or dest == "out_dir":
+            continue
+        if os.path.isdir(path):
+            raise DataFormatError(f"{path}: output is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataFormatError(f"{path}: output directory does not exist")
 
 
 def run_cli(argv):
@@ -278,10 +269,8 @@ def run_cli(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        for dest in _OUTPUTS:
-            if getattr(args, dest, None) == "":
-                raise DataFormatError(f"--{dest.replace('_', '-')}: output path is empty")
-        return _COMMANDS[args.command](args)
+        _check_outputs(args)
+        return args.handler(args)
     # Ahead of ValueError, which DataFormatError subclasses.
     except (DataFormatError, OSError) as exc:
         print(f"qmiheat: data error: {exc}", file=sys.stderr)
@@ -296,7 +285,3 @@ def run_cli(argv):
 
 def main():
     return run_cli(sys.argv[1:])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -58,22 +58,26 @@ def write_file(path, *chunks):
     mode, which then replaces the target; on any exception that file is
     removed and the target is left as it was.  A symlink is written
     through.  An existing target that is not a regular file, such as a
-    pipe or a device, is written in place.
+    pipe or a device, is written in place.  An OSError names ``path`` as
+    given, never the new file.
     """
     # Tested before realpath: /dev/stdout on a pipe resolves to no path.
     in_place = os.path.exists(path) and not os.path.isfile(path)
-    path = path if in_place else os.path.realpath(path)
-    tmp = path if in_place else f"{path}.{secrets.token_hex(4)}.tmp"
-    fh = open(tmp, "wb" if in_place else "xb")
+    target = path if in_place else os.path.realpath(path)
+    tmp = target if in_place else f"{target}.{secrets.token_hex(4)}.tmp"
     try:
-        with fh:
-            fh.writelines(chunks)
-        if not in_place:
-            os.replace(tmp, path)
-    except BaseException:
-        if not in_place:
-            os.unlink(tmp)
-        raise
+        fh = open(tmp, "wb" if in_place else "xb")
+        try:
+            with fh:
+                fh.writelines(chunks)
+            if not in_place:
+                os.replace(tmp, target)
+        except BaseException:
+            if not in_place:
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def load_config(path):

@@ -41,15 +41,14 @@ copies in place of the one copy took 7-10% longer.  Against one GEMM per
 (medians of two runs of alternating calls), and rf64's stride-2 stage 0
 at 640x480 from 7.2-8.7 to 6.0-7.2 ms.
 
-Every unit's product, read as (images, oc, rows, ow), is max-pooled 2x2
-while still in cache when ``pool`` is set, so full-resolution
-activations are never written out and only the cells the pool keeps are
-computed.  The bias is then added, to the pooled quarter: float rounding
-is monotone, so max(a, c) + b rounds to max(a + b, c + b).  With
-``relu`` the biased unit is then rectified, so a dense stage is one
-call.  This epilogue runs in a temporary of the unit's own layout, copied
-into the output last; pooling a band straight into the output measured
-slower.
+With ``stage`` set, a dense feature stage is one call: every unit's
+product, read as (images, oc, rows, ow), is max-pooled 2x2 while still
+in cache, so full-resolution activations are never written out and only
+the cells the pool keeps are computed.  The bias is then added, to the
+pooled quarter: float rounding is monotone, so max(a, c) + b rounds to
+max(a + b, c + b), and the biased unit is rectified.  This epilogue runs
+in a temporary of the unit's own layout, copied into the output last;
+pooling a band straight into the output measured slower.
 
 The backward folds each chunk of images into one GEMM for the kernel
 gradient, summed over the chunks: the chunk's patch matrix is one copy
@@ -156,22 +155,23 @@ def _patch_view(src, kh, kw, stride, groups, per, ow):
     )
 
 
-def _tap_rows(oc, wp, oh, pool):
+def _tap_rows(oc, wp, oh, stage):
     """Output rows per band of the tap path: the band's (oc, rows*wp)
-    accumulator fits _TAP_BUDGET; pooled, an even count of at least 2."""
+    accumulator fits _TAP_BUDGET; for a pooled stage, an even count of at
+    least 2."""
     rows = max(1, _TAP_BUDGET // (oc * wp))
-    if pool:
+    if stage:
         rows = max(2, rows // 2 * 2)
     return min(rows, oh)
 
 
-def conv2d_forward(x, layer, pool=False, relu=False):
+def conv2d_forward(x, layer, stage=False):
     """Cross-correlation plus bias over an NCHW batch, run by the walker.
 
-    With ``pool`` the result is max-pooled 2x2/stride 2 in the same call,
-    dropping an odd last row and column; the unpooled output is never
-    held.  With ``relu`` the (pooled) result is then rectified, which
-    gives the bytes of ``np.maximum(result, 0)``.
+    With ``stage`` the call is a dense feature stage: the result is
+    max-pooled 2x2/stride 2, dropping an odd last row and column, and
+    rectified, which gives the bytes of ``np.maximum`` of the pooled plain
+    result and 0; the unpooled output is never held.
     """
     x = _as_f32_nchw(x)
     n, c, h, wd = x.shape
@@ -183,7 +183,7 @@ def conv2d_forward(x, layer, pool=False, relu=False):
     ckk = c * kh * kw
     strip = _row_strip(ckk, ow, oh)
     out_hw = (oh, ow)
-    if pool:
+    if stage:
         oh, ow = oh // 2 * 2, ow // 2 * 2
         strip = max(2, strip // 2 * 2)
         out_hw = (oh // 2, ow // 2)
@@ -197,7 +197,7 @@ def conv2d_forward(x, layer, pool=False, relu=False):
         taps, imgs, rows, per = False, _image_chunk(ckk * oh * ow, n), oh, oh
     else:
         taps = stride == 1 and c >= _TAP_MIN_CHANNELS
-        imgs, rows, per = 1, _tap_rows(oc, wp, oh, pool) if taps else strip, 1
+        imgs, rows, per = 1, _tap_rows(oc, wp, oh, stage) if taps else strip, 1
     rows_in = (rows - 1) * stride + kh
     # At pad 0 a chunk of whole images takes its patches straight from x.
     direct = pad == 0 and strip >= oh
@@ -243,12 +243,12 @@ def conv2d_forward(x, layer, pool=False, relu=False):
                 block[:u, :g] = patches[first : first + u, :g]
                 prod = np.matmul(w_mat, block[:u, :g].reshape(u * g, ckk, per * ow))
                 res = prod.reshape(u, g, oc, -1).swapaxes(1, 2).reshape(u, oc, m, ow)
-            if pool:
+            if stage:
                 res = _maxpool2x2(res)
             res += bias
-            if relu:
+            if stage:
                 np.maximum(res, 0.0, out=res)
-            rs = slice(r0 // 2, (r0 + m) // 2) if pool else slice(r0, r0 + m)
+            rs = slice(r0 // 2, (r0 + m) // 2) if stage else slice(r0, r0 + m)
             out[i0:i1, :, rs] = res
     return out
 

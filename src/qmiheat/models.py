@@ -175,7 +175,7 @@ def forward_scores(model, x):
     for spec in features:
         if spec.conv.stride == 2:
             x = _crop_even(x)
-        x = conv2d_forward(x, spec.conv, pool=True, relu=True)
+        x = conv2d_forward(x, spec.conv, stage=True)
     return conv2d_forward(x, head.conv)
 
 

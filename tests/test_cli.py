@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, mostly in-process via run_cli."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -227,6 +228,19 @@ def test_every_config_field_round_trips_through_its_train_flag():
             ["train", "--train", "a", "--test", "b", "--out-dir", "c", flag, str(value)]
         )
         assert getattr(_train_config(args), name) == value
+
+
+def test_every_command_binds_a_handler_and_every_output_is_an_option():
+    """A command without a handler, or an _OUTPUTS entry that no option
+    declares, would go unnoticed until that command ran."""
+    (commands,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    dests = set()
+    for name, parser in commands.choices.items():
+        assert callable(parser.get_default("handler")), name
+        dests.update(action.dest for action in parser._actions)
+    assert set(cli._OUTPUTS) <= dests
 
 
 def test_train_determinism_across_invocations(tmp_path, split_files):

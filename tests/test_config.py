@@ -146,6 +146,15 @@ def test_a_write_that_fails_partway_leaves_the_target(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["target"]
 
 
+def test_a_write_that_cannot_start_names_the_target(tmp_path):
+    target = tmp_path / "nodir" / "x.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        save_config({"a": 1}, target)
+    assert info.value.filename == target
+    assert str(target) in str(info.value) and ".tmp" not in str(info.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _opens_for_writing(node):
     """An ``open`` call whose mode writes, or is not a literal."""
     if not isinstance(node, ast.Call):

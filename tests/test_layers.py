@@ -173,17 +173,16 @@ def _assert_matches_oracle_pooled_and_not(x, wt, b, stride, pad):
     assert np.abs(got - want).max() <= 1e-6
     n, oc, oh, ow = want.shape[0], want.shape[1], want.shape[2] // 2, want.shape[3] // 2
     want = want[:, :, : 2 * oh, : 2 * ow].reshape(n, oc, oh, 2, ow, 2).max(axis=(3, 5))
-    got = conv2d_forward(x, layer, pool=True)
+    got = conv2d_forward(x, layer, stage=True)
     assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-6
-    got = conv2d_forward(x, layer, pool=True, relu=True)
     assert np.abs(got - np.maximum(want, 0.0)).max() <= 1e-6
 
 
 def test_relu_epilogue_equals_maximum_of_the_conv_bitwise(monkeypatch):
-    """relu=True gives the bytes of np.maximum(conv(relu=False), 0) on
-    whole-image chunks, tap bands and patch-matrix bands, pooled or not,
-    with biases that push many outputs below zero."""
+    """stage=True gives the bytes of np.maximum of the plain convolution,
+    cropped to even dims and pooled, and 0 on whole-image chunks, tap
+    bands and patch-matrix bands, with biases that push many outputs below
+    zero."""
     monkeypatch.setattr(layers, "_STRIP_BUDGET", 27 * 117 * 4)
     rng = np.random.default_rng(23)
     cases = [
@@ -205,11 +204,12 @@ def test_relu_epilogue_equals_maximum_of_the_conv_bitwise(monkeypatch):
         layer = _layer(
             rng.standard_normal(k_shape), rng.uniform(-1.0, 0.5, k_shape[0]), stride, 1
         )
-        for pool in (False, True):
-            plain = conv2d_forward(x, layer, pool)
-            fused = conv2d_forward(x, layer, pool, relu=True)
-            assert (plain < 0).any() and (plain > 0).any()
-            assert fused.tobytes() == np.maximum(plain, 0.0).tobytes()
+        plain = conv2d_forward(x, layer)
+        oh, ow = plain.shape[2:]
+        pooled = maxpool2x2_infer(plain[:, :, : oh // 2 * 2, : ow // 2 * 2])
+        fused = conv2d_forward(x, layer, stage=True)
+        assert (pooled < 0).any() and (pooled > 0).any()
+        assert fused.tobytes() == np.maximum(pooled, 0.0).tobytes()
     assert paths == [(False, False), (True, True), (True, False), (True, False)]
 
 
@@ -441,10 +441,11 @@ def test_maxpool_infer_matches_training_forward():
 
 
 def test_fused_pool_matches_conv_then_pool_bitwise():
-    """conv2d_forward(pool=True) equals the full convolution cropped to
-    even dims and then pooled, byte for byte, including frames gathered in
-    several row strips, batches gathered in several image chunks, and
-    outputs too small to keep a pooled row.  Both equal per-image calls."""
+    """conv2d_forward(stage=True) equals the full convolution cropped to
+    even dims, pooled and rectified, byte for byte, including frames
+    gathered in several row strips, batches gathered in several image
+    chunks, and outputs too small to keep a pooled row.  Both equal
+    per-image calls."""
     rng = np.random.default_rng(17)
     cases = [
         ((2, 3, 9, 11), (4, 3, 3, 3), 1, 1),
@@ -465,12 +466,12 @@ def test_fused_pool_matches_conv_then_pool_bitwise():
         )
         full = conv2d_forward(x, layer)
         oh, ow = full.shape[2:]
-        want = maxpool2x2_infer(full[:, :, : oh // 2 * 2, : ow // 2 * 2])
-        got = conv2d_forward(x, layer, pool=True)
+        want = np.maximum(maxpool2x2_infer(full[:, :, : oh // 2 * 2, : ow // 2 * 2]), 0.0)
+        got = conv2d_forward(x, layer, stage=True)
         assert got.tobytes() == want.tobytes()
         assert got.shape == want.shape
-        for pool, batch in ((False, full), (True, got)):
-            one_by_one = [conv2d_forward(x[i : i + 1], layer, pool) for i in range(len(x))]
+        for stage, batch in ((False, full), (True, got)):
+            one_by_one = [conv2d_forward(x[i : i + 1], layer, stage) for i in range(len(x))]
             assert np.concatenate(one_by_one).tobytes() == batch.tobytes()
     # Unrounded, the strips of the two wide cases would hold odd row counts.
     assert layers._row_strip(16 * 3 * 3, 240, 30) == 7

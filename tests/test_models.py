@@ -298,13 +298,13 @@ def test_pool_then_relu_matches_relu_then_pool_reference_bitwise():
 
 def test_forward_scores_makes_one_conv_call_per_stage(monkeypatch):
     """The dense walk rectifies inside each stage's convolution: one conv
-    call per layer, pooled and rectified in every feature stage and in
-    neither in the head, and no separate relu_infer call."""
+    call per layer, a pooled and rectified stage in every feature stage and
+    a plain convolution in the head, and no separate relu_infer call."""
     calls = []
 
-    def conv_spy(x, layer, pool=False, relu=False):
-        calls.append((pool, relu))
-        return conv2d_forward(x, layer, pool, relu)
+    def conv_spy(x, layer, stage=False):
+        calls.append(stage)
+        return conv2d_forward(x, layer, stage)
 
     def relu_spy(x):
         raise AssertionError("forward_scores called relu_infer")
@@ -317,7 +317,7 @@ def test_forward_scores_makes_one_conv_call_per_stage(monkeypatch):
         frame = rng.random((1, 3, 75, 141), dtype=np.float32)
         calls.clear()
         forward_scores(m, frame)
-        assert calls == [(True, True)] * 4 + [(False, False)]
+        assert calls == [True] * 4 + [False]
 
 
 def test_embedding_gradient_reaches_features_not_classifier():
