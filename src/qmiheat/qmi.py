@@ -2,15 +2,19 @@
 
 The dependence between an embedding batch and its binary labels is measured
 through three pairwise interaction sums (information potentials) built from
-the width-free Euclidean similarity ``1 / (1 + ||a - b||^2)``:
+the width-free Euclidean similarity ``K_il = 1 / (1 + ||y_i - y_l||^2)``:
 
     v_in   within-class pair interactions
     v_all  all-pairs interactions, weighted by the squared class priors
     v_btw  class-vs-everyone interactions
 
-Their combination ``v_in + v_all - 2 * v_btw`` is the plug-in QMI estimate.
-The regularization loss is ``-(v_in + v_all)``: minimizing it maximizes the
+Each is a weighted sum of the one similarity matrix, under pair weights that
+depend only on the labels (see :func:`information_potentials`).  Their
+combination ``v_in + v_all - 2 * v_btw`` is the plug-in QMI estimate.  The
+regularization loss is ``-(v_in + v_all)``: minimizing it maximizes the
 pairwise interactions while the classification loss keeps classes apart.
+Its gradient is ``4 * sum_l W_il * K_il^2 * (y_i - y_l)`` over the same
+weights, ``W = w_in + c_all``.
 
 All arithmetic here runs in float64 regardless of the input dtype; callers
 embedded in the float32 training path cast the gradient back down.
@@ -48,12 +52,11 @@ class EmbeddingBatch:
 
 @dataclass
 class InformationPotentials:
-    """The three interaction sums for one batch, plus the class sizes."""
+    """The three interaction sums for one batch."""
 
     v_in: float
     v_all: float
     v_btw: float
-    class_counts: tuple
 
 
 def pairwise_similarity(y):
@@ -67,11 +70,11 @@ def pairwise_similarity(y):
 def information_potentials(k, labels):
     """The three interaction sums from a similarity matrix and binary labels.
 
-    With class sizes j0, j1 out of n samples:
+    With the pair weights of :func:`_pair_weights`:
 
-        v_in  = (1/n^2) * (sum of k over same-class pairs)
-        v_all = (1/n^2) * ((j0^2 + j1^2) / n^2) * (sum of all of k)
-        v_btw = (1/n^2) * sum_p (j_p / n) * (sum of k over rows of class p)
+        v_in  = sum_il w_in_il * k_il      (same-class pairs, over n^2)
+        v_all = c_all * sum_il k_il        (c_all = (j0^2 + j1^2) / n^4)
+        v_btw = sum_il w_btw_i * k_il      (w_btw_i = j_c / n^3, c = class of i)
 
     An empty class contributes zero to its sums, so single-class batches
     still produce finite values.
@@ -84,27 +87,11 @@ def information_potentials(k, labels):
     if labels.shape != (n,):
         raise ValueError("need one label per row of the similarity matrix")
     _check_binary(labels)
-
-    mask1 = labels == 1
-    mask0 = ~mask1
-    j0 = int(mask0.sum())
-    j1 = int(mask1.sum())
-    n2 = float(n) * float(n)
-
-    s0 = float(k[np.ix_(mask0, mask0)].sum())
-    s1 = float(k[np.ix_(mask1, mask1)].sum())
-    v_in = (s0 + s1) / n2
-
-    v_all = (j0 * j0 + j1 * j1) / n2 * float(k.sum()) / n2
-
-    row_sums = k.sum(axis=1)
-    v_btw = (
-        j0 / float(n) * float(row_sums[mask0].sum())
-        + j1 / float(n) * float(row_sums[mask1].sum())
-    ) / n2
-
+    w_in, c_all, w_btw = _pair_weights(labels)
     return InformationPotentials(
-        v_in=v_in, v_all=v_all, v_btw=v_btw, class_counts=(j0, j1)
+        v_in=float((w_in * k).sum()),
+        v_all=c_all * float(k.sum()),
+        v_btw=float(w_btw @ k.sum(axis=1)),
     )
 
 
@@ -139,26 +126,31 @@ def regularizer_gradient(batch):
     """Exact gradient of :func:`regularizer_loss` w.r.t. each embedding row.
 
     Uses the closed form of the Euclidean-similarity derivative
-    dK/dy_i = -2 K^2 (y_i - y_j).  With s_il = 1 for same-class pairs and
-    the all-pairs weight c = (j0^2 + j1^2) / n^4:
+    dK/dy_i = -2 K^2 (y_i - y_j).  With the pair weights of
+    :func:`_pair_weights`:
 
-        grad_i = 4 * sum_l (s_il / n^2 + c) * K_il^2 * (y_i - y_l)
+        grad_i = 4 * sum_l (w_in_il + c_all) * K_il^2 * (y_i - y_l)
 
     Rows sum to the zero vector because the loss depends only on pairwise
     differences.
     """
-    y = batch.y
-    labels = batch.labels
-    n = y.shape[0]
-    k = batch.similarity
-    same = (labels[:, None] == labels[None, :]).astype(np.float64)
-    j0, j1 = int((labels == 0).sum()), int((labels == 1).sum())
-    n2 = float(n) * float(n)
-    c_all = (j0 * j0 + j1 * j1) / (n2 * n2)
-
-    w = (same / n2 + c_all) * k * k
+    w_in, c_all, _ = _pair_weights(batch.labels)
+    w = (w_in + c_all) * batch.similarity * batch.similarity
     deg = w.sum(axis=1)
-    return 4.0 * (deg[:, None] * y - w @ y)
+    return 4.0 * (deg[:, None] * batch.y - w @ batch.y)
+
+
+def _pair_weights(labels):
+    """The regularizer's pair weights for n binary labels, with class sizes
+    j0, j1 and j_c the size of row i's class: ``w_in`` is the n x n
+    same-class indicator over n^2, ``c_all = (j0^2 + j1^2) / n^4`` weighs
+    every pair and ``w_btw`` holds each row's j_c / n^3."""
+    labels = np.asarray(labels).astype(np.intp)
+    counts = np.bincount(labels, minlength=2)
+    n2 = float(labels.size) * float(labels.size)
+    w_in = (labels[:, None] == labels[None, :]) / n2
+    c_all = int(counts @ counts) / (n2 * n2)
+    return w_in, c_all, counts[labels] / (n2 * labels.size)
 
 
 def _pairwise_sq_dists(y):

@@ -30,15 +30,15 @@ class ScoreTable:
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
+        if len(self.methods) < 2:
+            raise ValueError("need at least 2 methods to rank")
+        if len(self.datasets) < 1:
+            raise ValueError("need at least 1 dataset")
         if s.shape != (len(self.methods), len(self.datasets)):
             raise ValueError(
                 f"scores shape {s.shape} does not match "
                 f"{len(self.methods)} methods x {len(self.datasets)} datasets"
             )
-        if len(self.methods) < 2:
-            raise ValueError("need at least 2 methods to rank")
-        if len(self.datasets) < 1:
-            raise ValueError("need at least 1 dataset")
         for kind, names in (("method", self.methods), ("dataset", self.datasets)):
             repeated = [n for i, n in enumerate(names) if n in names[:i]]
             if repeated:

@@ -22,7 +22,7 @@ from .config import save_config, write_file
 from .data import to_float
 from .errors import DataFormatError, TrainingDivergedError
 from .layers import OptimizerState, sgd_momentum_step
-from .losses import CROSS_ENTROPY, DEFAULT_ETA, HINGE, LOSSES
+from .losses import DEFAULT_ETA, HINGE, LOSSES
 from .models import (
     RF32,
     VARIANTS,

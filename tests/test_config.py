@@ -168,13 +168,19 @@ def _opens_for_writing(node):
     return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
 
 
+def _package_modules():
+    """(file name, source lines, syntax tree) of every package module."""
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(qmiheat.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        yield os.path.basename(path), source.splitlines(), ast.parse(source, path)
+
+
 def test_write_file_holds_the_only_open_for_writing():
     """An ``open`` for writing anywhere else in the package would bypass
     the whole-or-nothing write."""
     sites = []
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(qmiheat.__file__), "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
+    for name, _, tree in _package_modules():
         allowed = {
             id(node)
             for func in ast.walk(tree)
@@ -182,8 +188,27 @@ def test_write_file_holds_the_only_open_for_writing():
             for node in ast.walk(func)
         }
         sites += [
-            f"{os.path.basename(path)}:{node.lineno}"
+            f"{name}:{node.lineno}"
             for node in ast.walk(tree)
             if _opens_for_writing(node) and id(node) not in allowed
         ]
     assert sites == []
+
+
+def test_every_import_is_read():
+    """A name a module imports but never reads is dead weight; the only
+    exceptions carry ``# noqa: F401`` on their import line."""
+    unread = []
+    for name, lines, tree in _package_modules():
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{name}:{alias.lineno} {bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            for bound in [(alias.asname or alias.name).split(".")[0]]
+            if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]
+        ]
+    assert unread == []

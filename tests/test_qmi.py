@@ -182,15 +182,19 @@ def test_permutation_invariance():
 
 
 def test_label_swap_invariance():
-    # the estimator is symmetric in the two class names
+    # the estimator is symmetric in the two class names, and bool or float
+    # 0.0/1.0 labels name the same classes as integer ones
     rng = np.random.default_rng(15)
     batch = _random_batch(rng, 9, 3)
-    swapped = EmbeddingBatch(y=batch.y, labels=1 - batch.labels)
     p = batch_potentials(batch)
-    q = batch_potentials(swapped)
-    assert p.v_in == pytest.approx(q.v_in, abs=1e-12)
-    assert p.v_all == pytest.approx(q.v_all, abs=1e-12)
-    assert p.v_btw == pytest.approx(q.v_btw, abs=1e-12)
+    g = regularizer_gradient(batch)
+    for labels in (1 - batch.labels, batch.labels.astype(bool), batch.labels.astype(np.float32)):
+        other = EmbeddingBatch(y=batch.y, labels=labels)
+        q = batch_potentials(other)
+        assert p.v_in == pytest.approx(q.v_in, abs=1e-12)
+        assert p.v_all == pytest.approx(q.v_all, abs=1e-12)
+        assert p.v_btw == pytest.approx(q.v_btw, abs=1e-12)
+        assert np.array_equal(regularizer_gradient(other), g)
 
 
 def test_v_all_depends_on_counts_not_which_labels():
@@ -199,8 +203,3 @@ def test_v_all_depends_on_counts_not_which_labels():
     a = batch_potentials(EmbeddingBatch(y=y, labels=[0, 0, 0, 1, 1, 1, 1, 1]))
     b = batch_potentials(EmbeddingBatch(y=y, labels=[1, 1, 1, 0, 0, 0, 0, 0]))
     assert a.v_all == b.v_all
-
-
-def test_class_counts_are_reported():
-    p = batch_potentials(EmbeddingBatch(y=np.zeros((5, 1)), labels=[0, 0, 1, 1, 1]))
-    assert p.class_counts == (2, 3)

@@ -231,6 +231,11 @@ def test_load_score_table_errors(tmp_path):
     with pytest.raises(DataFormatError, match="twice.csv: repeated method name 'a'"):
         load_score_table(twice)
 
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("m,d1,d2\n")
+    with pytest.raises(DataFormatError, match="header_only.csv: need at least 2 methods to rank"):
+        load_score_table(header_only)
+
 
 def test_format_report_wording():
     t = _table(
