@@ -4,42 +4,45 @@ SGD with momentum.
 Everything operates on float32 arrays of shape (batch, channels, height,
 width) and is deterministic: the same inputs always produce bit-identical
 outputs, so repeated training runs with one seed reproduce exactly.
-Convolution results do not depend on how many images share a call, and
-stay within 1e-5 of the naive fixed-loop summation.
+Convolution results do not depend on how many images share a call.  The
+tests hold the forward within 1e-6 absolute of a float64 fixed-loop
+summation, for inputs in +-0.5 and weights scaled to the fan-in as the
+models draw them, and the backward within 1e-5 relative of a float64
+reference.
 
 Both convolution passes run on float32 matrix products (BLAS sgemm).  The
 forward is one loop, the walker, over units of work.  A unit is a chunk
 of whole images whose patch matrices stay within ``_STRIP_BUDGET``, or,
 when one image's patches alone exceed it, as for full-HD frames, a band
-of one image's output rows.  Each unit copies the input rows it reads
-into one zero-bordered flat (c, rows_in*wp + kw - 1) buffer per image, wp
+of ``_row_strip`` output rows of one image.  Each unit copies the input
+rows it reads into one zero-bordered (c, rows_in, wp) grid per image, wp
 the padded width, so the batch is never padded as a whole; at pad 0 a
 chunk of whole images, such as the 2x2 head's or an input gradient's,
 takes its patches straight from the input.
 
-At stride 1 with at least ``_TAP_MIN_CHANNELS`` input channels,
-``_tap_rows`` rows make a band, run as one GEMM per kernel tap summed
-into one accumulator (kn2row: Vasudevan, Anderson & Gregg, ASAP 2017).
-Output row r, tap (ki, kj) reads the buffer from (r + ki)*wp + kj on, so
-each tap's operand for the whole band is the run of rows*wp floats at
-ki*wp + kj, a view, not a copy; the accumulator's columns at or past ow
-read across the row end and are dropped.  At 1080p, one BLAS thread,
-rf32's stage 1 went from 84-100 to 58-75 ms.  The taps sum in another
-order than the patch path, so their low bits differ from it.
-
-Otherwise ``_row_strip`` rows make a band, and any unit's patches are
-copied from ``_patch_view`` of the buffer, or at pad 0 of a chunk's
-images, in one copy, into one block allocated per call.  A chunk then
-runs one GEMM per image, and a band one per output row, each on a
-contiguous patch matrix.  For rf32's stage 0 (oc = 16, K = 27), one BLAS
-thread, OpenBLAS ran the (16 x 27) @ (27 x N) product at 52-54 GFLOP/s
-for N = 480, 62 for 960, 66 for 1920 (one 1080p row), 45-58 for 3840 and
-7680 (2- and 4-row GEMMs) and 33-34 for 15360.  With K = 3 per tap, tap
-GEMMs ran that stage at 1080p in 147-180 against 97-111 ms, and nine tap
-copies in place of the one copy took 7-10% longer.  Against one GEMM per
-4-row band and a separate ReLU, that stage went from 104-118 to 69-80 ms
+A unit's patches are copied from ``_patch_view`` of the grid, or at pad 0
+of a chunk's images, in one copy, into one block allocated per call.  A
+chunk then runs one GEMM per image, and a band one per output row, each
+on a contiguous patch matrix.  For rf32's stage 0 (oc = 16, K = 27), one
+BLAS thread, OpenBLAS ran the (16 x 27) @ (27 x N) product at 52-54
+GFLOP/s for N = 480, 62 for 960, 66 for 1920 (one 1080p row), 45-58 for
+3840 and 7680 (2- and 4-row GEMMs) and 33-34 for 15360.  One GEMM per
+kernel tap (kn2row: Vasudevan, Anderson & Gregg, ASAP 2017), K = 3 each,
+ran that stage at 1080p in 147-180 against 97-111 ms, and nine tap copies
+in place of the one copy took 7-10% longer.  Against one GEMM per 4-row
+band and a separate ReLU, that stage went from 104-118 to 69-80 ms
 (medians of two runs of alternating calls), and rf64's stride-2 stage 0
 at 640x480 from 7.2-8.7 to 6.0-7.2 ms.
+
+A band's GEMM for one row sums its K = c*kh*kw patch rows in contiguous
+blocks of at most ``_K_BLOCK``, adding each block's product to the sum;
+the kernel is split into the matching column blocks once per call.
+Shorter float32 sums round less.  Against the float64 loop at shape
+(2, 32, 8, 150), K = 288, with fan-in-scaled weights, the worst error
+over 30 seeds was 5.2e-7 in blocks of 96, none over 1e-6, and 1.21e-6
+in one GEMM, 7 of 30 over.  Blocks of 144 read 9.2e-7 at 16 channels
+(K = 144).  Whole-image chunks, every training conv among them, run one
+GEMM over all of K.
 
 With ``stage`` set, a dense feature stage is one call: every unit's
 product, read as (images, oc, rows, ow), is max-pooled 2x2 while still
@@ -72,15 +75,9 @@ import numpy as np
 # batch at once, a batch-64 training step took about 1.5x as long.
 _STRIP_BUDGET = 250_000
 
-# Bands of stride-1 convolutions with this many input channels or more
-# run as one GEMM per kernel tap.
-_TAP_MIN_CHANNELS = 16
-
-# Accumulator budget per band of the tap path, in float32 elements
-# (128 KB).  rf32's stage 1 at 1080p, one BLAS thread, min of 5 calls:
-# 53-76 ms at 16 K, 32 K and 64 K; 79-101 ms at 128 K; 97-105 ms at
-# _STRIP_BUDGET.
-_TAP_BUDGET = 32_768
+# Largest K block, in patch rows, of a band's per-row GEMM: bands sum
+# their products over K blocks, whole-image chunks in one GEMM.
+_K_BLOCK = 96
 
 
 def _out_dim(size, k, stride, pad):
@@ -155,16 +152,6 @@ def _patch_view(src, kh, kw, stride, groups, per, ow):
     )
 
 
-def _tap_rows(oc, wp, oh, stage):
-    """Output rows per band of the tap path: the band's (oc, rows*wp)
-    accumulator fits _TAP_BUDGET; for a pooled stage, an even count of at
-    least 2."""
-    rows = max(1, _TAP_BUDGET // (oc * wp))
-    if stage:
-        rows = max(2, rows // 2 * 2)
-    return min(rows, oh)
-
-
 def conv2d_forward(x, layer, stage=False):
     """Cross-correlation plus bias over an NCHW batch, run by the walker.
 
@@ -192,31 +179,20 @@ def conv2d_forward(x, layer, stage=False):
         return out
     wp = wd + 2 * pad
     # A unit is ``imgs`` images by ``rows`` output rows; ``per`` of its
-    # rows run as one GEMM of the patch path.
+    # rows run as one GEMM, summed over K blocks of at most ``kb`` rows.
     if strip >= oh:
-        taps, imgs, rows, per = False, _image_chunk(ckk * oh * ow, n), oh, oh
+        imgs, rows, per, kb = _image_chunk(ckk * oh * ow, n), oh, oh, ckk
     else:
-        taps = stride == 1 and c >= _TAP_MIN_CHANNELS
-        imgs, rows, per = 1, _tap_rows(oc, wp, oh, stage) if taps else strip, 1
-    rows_in = (rows - 1) * stride + kh
+        imgs, rows, per, kb = 1, strip, 1, _K_BLOCK
     # At pad 0 a chunk of whole images takes its patches straight from x.
     direct = pad == 0 and strip >= oh
     if not direct:
-        buf = np.zeros((imgs, c, rows_in * wp + kw - 1), dtype=np.float32)
-        grid = buf[:, :, : rows_in * wp].reshape(imgs, c, rows_in, wp)
-    if taps:
-        (t0, off0), *rest = [
-            (np.ascontiguousarray(w[:, :, ki, kj]), ki * wp + kj)
-            for ki in range(kh)
-            for kj in range(kw)
-        ]
-        acc = np.empty((oc, rows * wp), dtype=np.float32)
-        tmp = np.empty_like(acc)
-    else:
-        w_mat = w.reshape(oc, ckk)
-        # block[i, g] is the (K, per*ow) patch matrix of one GEMM.
-        patches = _patch_view(x if direct else grid, kh, kw, stride, rows // per, per, ow)
-        block = np.empty((imgs, *patches.shape[1:]), dtype=np.float32)
+        grid = np.zeros((imgs, c, (rows - 1) * stride + kh, wp), dtype=np.float32)
+    w_mat = w.reshape(oc, ckk)
+    w_blocks = [np.ascontiguousarray(w_mat[:, k : k + kb]) for k in range(0, ckk, kb)]
+    # block[i, g] is the (K, per*ow) patch matrix of one GEMM.
+    patches = _patch_view(x if direct else grid, kh, kw, stride, rows // per, per, ow)
+    block = np.empty((imgs, *patches.shape[1:]), dtype=np.float32)
     bias = layer.bias.reshape(oc, 1, 1)
     for i0 in range(0, n, imgs):
         i1 = min(i0 + imgs, n)
@@ -229,20 +205,14 @@ def conv2d_forward(x, layer, stage=False):
                 grid[:u, :, : top - lo] = 0
                 grid[:u, :, top - lo : end - lo, pad : pad + wd] = x[i0:i1, :, top:end]
                 grid[:u, :, end - lo :] = 0
-            if taps:
-                span = m * wp
-                a, p = acc[:, :span], tmp[:, :span]
-                np.matmul(t0, buf[0, :, off0 : off0 + span], out=a)
-                for tap, off in rest:
-                    np.matmul(tap, buf[0, :, off : off + span], out=p)
-                    a += p
-                res = a.reshape(1, oc, m, wp)[..., :ow]
-            else:
-                g = m // per
-                first = i0 if direct else 0
-                block[:u, :g] = patches[first : first + u, :g]
-                prod = np.matmul(w_mat, block[:u, :g].reshape(u * g, ckk, per * ow))
-                res = prod.reshape(u, g, oc, -1).swapaxes(1, 2).reshape(u, oc, m, ow)
+            g = m // per
+            first = i0 if direct else 0
+            block[:u, :g] = patches[first : first + u, :g]
+            mats = block[:u, :g].reshape(u * g, ckk, per * ow)
+            prod = np.matmul(w_blocks[0], mats[:, :kb])
+            for k, w_k in zip(range(kb, ckk, kb), w_blocks[1:]):
+                prod += np.matmul(w_k, mats[:, k : k + kb])
+            res = prod.reshape(u, g, oc, -1).swapaxes(1, 2).reshape(u, oc, m, ow)
             if stage:
                 res = _maxpool2x2(res)
             res += bias

@@ -84,6 +84,8 @@ def information_potentials(k, labels):
     n = k.shape[0]
     if k.shape != (n, n):
         raise ValueError("similarity matrix must be square")
+    if n == 0:
+        raise ValueError("similarity matrix is empty: need at least one embedding")
     if labels.shape != (n,):
         raise ValueError("need one label per row of the similarity matrix")
     _check_binary(labels)

@@ -200,9 +200,7 @@ def test_every_import_is_read():
     exceptions carry ``# noqa: F401`` on their import line."""
     unread = []
     for name, lines, tree in _package_modules():
-        read = {
-            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
+        read = _read_names(tree)
         unread += [
             f"{name}:{alias.lineno} {bound}"
             for node in ast.walk(tree)
@@ -212,3 +210,35 @@ def test_every_import_is_read():
             if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]
         ]
     assert unread == []
+
+
+def test_every_private_name_is_read():
+    """A module-level ``_name`` that its own module never reads is dead
+    code, such as a constant left behind by a deleted path."""
+    unread = []
+    for name, _, tree in _package_modules():
+        read = _read_names(tree)
+        unread += [
+            f"{name}:{node.lineno} {bound}"
+            for node in tree.body
+            for bound in _bound_names(node)
+            if bound.startswith("_") and not bound.startswith("__") and bound not in read
+        ]
+    assert unread == []
+
+
+def _read_names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _bound_names(node):
+    """Names a module-level statement binds, other than by import."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]

@@ -77,9 +77,9 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-6
 
-    # At the default budgets, a 16-channel 24x200 frame runs the tap path
-    # in row bands, and rf32's stage 1 at batch 64 runs in image chunks
-    # with a short last one, pooled (16 x 16 outputs) or not.
+    # At the default budget, a 16-channel 24x200 frame runs in row bands,
+    # and rf32's stage 1 at batch 64 runs in image chunks with a short
+    # last one, pooled (16 x 16 outputs) or not.
     assert layers._row_strip(16 * 9, 200, 24) < 24
     assert layers._row_strip(16 * 9, 16, 16) == 16
     assert 64 % layers._image_chunk(16 * 9 * 16 * 16, 64) != 0
@@ -90,31 +90,34 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
         b = rng.uniform(-0.5, 0.5, size=oc).astype(np.float32)
         _assert_matches_oracle_pooled_and_not(x, wt, b, 1, 1)
 
-    # Frames with 16 and 32 channels too large for one patch matrix run
-    # the stride-1 tap path in row bands, pooled and not.  Under the band
-    # budget set here the 16-channel frame, with odd output height and
-    # width, runs in bands of 4 rows with a short last one; the 32-channel
-    # frame is wide enough for its pooled bands to fall to 2 rows.  The
-    # weights are drawn as build_model draws them, scaled to the fan-in: at
-    # +-0.5 these sums reach 4-5 and their float32 rounding alone passes
-    # 1e-6 (the patch-matrix strips read 1.6e-6 and 3.1e-6 there).
-    monkeypatch.setattr(layers, "_TAP_BUDGET", 2 * 119 * 4)
+    # Frames with 16 and 32 channels too large for one patch matrix run in
+    # row bands, pooled and not, each output row one GEMM summed over K
+    # blocks of its K = 144 or 288 patch rows.  Under the band budget set
+    # here the 16-channel frame, with odd output height and width, runs in
+    # bands of 4 rows with a short last one (pooled: 4, 4, 4, 2); the
+    # 32-channel frame in bands of 1 row (pooled: 2).  The weights are
+    # drawn as build_model draws them, scaled to the fan-in: at +-0.5 these
+    # sums reach 4-5 and their float32 rounding alone passes 1e-6 (the
+    # patch-matrix strips read 1.6e-6 and 3.1e-6 there).  With one GEMM
+    # over all 288 rows, 7 of 30 draws of the 32-channel frame passed
+    # 1e-6, so it gets 10 draws.
+    monkeypatch.setattr(layers, "_STRIP_BUDGET", 144 * 117 * 4)
     assert 15 % 4 == 3 and 15 % 2 == 117 % 2 == 1
-    for n, ic, h, w, rows, pooled_rows in ((1, 16, 15, 117, 4, 4), (2, 32, 8, 150, 3, 2)):
-        x = rng.uniform(-0.5, 0.5, size=(n, ic, h, w)).astype(np.float32)
-        limit = np.sqrt(6.0 / (ic * 9))
-        wt = rng.uniform(-limit, limit, size=(2, ic, 3, 3)).astype(np.float32)
-        b = rng.uniform(-0.5, 0.5, size=2).astype(np.float32)
-        assert ic >= layers._TAP_MIN_CHANNELS
-        assert layers._row_strip(ic * 9, w, h) < h
-        assert layers._tap_rows(2, w + 2, h, False) == rows
-        assert layers._tap_rows(2, w + 2, h // 2 * 2, True) == pooled_rows
-        _assert_matches_oracle_pooled_and_not(x, wt, b, 1, 1)
+    for n, ic, h, w, rows, draws in ((1, 16, 15, 117, 4, 1), (2, 32, 8, 150, 1, 10)):
+        assert ic * 9 > layers._K_BLOCK
+        assert layers._row_strip(ic * 9, w, h) == rows < h
+        for _ in range(draws):
+            x = rng.uniform(-0.5, 0.5, size=(n, ic, h, w)).astype(np.float32)
+            limit = np.sqrt(6.0 / (ic * 9))
+            wt = rng.uniform(-limit, limit, size=(2, ic, 3, 3)).astype(np.float32)
+            b = rng.uniform(-0.5, 0.5, size=2).astype(np.float32)
+            _assert_matches_oracle_pooled_and_not(x, wt, b, 1, 1)
 
-    # 3-channel frames too large for one patch matrix run patch-matrix
-    # bands.  Under the budget set here the stride-1 frame runs in bands of
-    # 4 rows with a short last one (pooled: 4, 4, 4, 2), and the stride-2
-    # frame in bands of 7 and 1 (pooled: 6 and 2).
+    # 3-channel frames too large for one patch matrix run in bands, each
+    # output row one GEMM over its K = 27 patch rows.  Under the budget set
+    # here the stride-1 frame runs in bands of 4 rows with a short last one
+    # (pooled: 4, 4, 4, 2), and the stride-2 frame in bands of 7 and 1
+    # (pooled: 6 and 2).
     monkeypatch.setattr(layers, "_STRIP_BUDGET", 27 * 117 * 4)
     assert layers._row_strip(27, 117, 15) == 4
     assert layers._row_strip(27, 59, 8) == 7
@@ -122,7 +125,7 @@ def test_forward_matches_loop_reference_across_shapes(monkeypatch):
     limit = np.sqrt(6.0 / 27)
     wt = rng.uniform(-limit, limit, size=(2, 3, 3, 3)).astype(np.float32)
     b = rng.uniform(-0.5, 0.5, size=2).astype(np.float32)
-    assert 3 < layers._TAP_MIN_CHANNELS
+    assert 27 <= layers._K_BLOCK
     for stride in (1, 2):
         _assert_matches_oracle_pooled_and_not(x, wt, b, stride, 1)
 
@@ -180,17 +183,17 @@ def _assert_matches_oracle_pooled_and_not(x, wt, b, stride, pad):
 
 def test_relu_epilogue_equals_maximum_of_the_conv_bitwise(monkeypatch):
     """stage=True gives the bytes of np.maximum of the plain convolution,
-    cropped to even dims and pooled, and 0 on whole-image chunks, tap
-    bands and patch-matrix bands, with biases that push many outputs below
-    zero."""
+    cropped to even dims and pooled, and 0 on whole-image chunks and on
+    bands with one and with two K blocks, with biases that push many
+    outputs below zero."""
     monkeypatch.setattr(layers, "_STRIP_BUDGET", 27 * 117 * 4)
     rng = np.random.default_rng(23)
     cases = [
         # whole-image chunks: a batch of small images
         ((3, 3, 9, 11), (4, 3, 3, 3), 1),
-        # tap bands: 16 channels at stride 1
+        # bands of two K blocks: 16 channels at stride 1
         ((1, 16, 15, 117), (4, 16, 3, 3), 1),
-        # patch-matrix bands: 3 channels at stride 1 and 2
+        # bands of one K block: 3 channels at stride 1 and 2
         ((2, 3, 15, 117), (4, 3, 3, 3), 1),
         ((1, 3, 15, 117), (4, 3, 3, 3), 2),
     ]
@@ -199,7 +202,7 @@ def test_relu_epilogue_equals_maximum_of_the_conv_bitwise(monkeypatch):
         _, c, h, w = x_shape
         oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
         banded = layers._row_strip(c * 9, ow, oh) < oh
-        paths.append((banded, banded and stride == 1 and c >= layers._TAP_MIN_CHANNELS))
+        paths.append((banded, c * 9 > layers._K_BLOCK))
         x = rng.standard_normal(x_shape).astype(np.float32)
         layer = _layer(
             rng.standard_normal(k_shape), rng.uniform(-1.0, 0.5, k_shape[0]), stride, 1
@@ -476,13 +479,10 @@ def test_fused_pool_matches_conv_then_pool_bitwise():
     # Unrounded, the strips of the two wide cases would hold odd row counts.
     assert layers._row_strip(16 * 3 * 3, 240, 30) == 7
     assert layers._row_strip(3 * 3 * 3, 520, 28) == 17
-    # The 16-channel frame runs the tap path in several bands; the
-    # 3-channel frames, at stride 2 and at stride 1, run patch-matrix
-    # bands, the stride-1 one with a short last band, pooled or not.
-    assert 16 >= layers._TAP_MIN_CHANNELS
-    assert layers._tap_rows(8, 243, 30, True) < 30
-    assert layers._tap_rows(8, 243, 31, False) < 31
-    assert 3 < layers._TAP_MIN_CHANNELS
+    # The 16-channel frame, its K = 144 summed in two K blocks, and the
+    # 3-channel frames, at stride 2 and at stride 1, run in several bands,
+    # the stride-1 one with a short last band, pooled or not.
+    assert layers._row_strip(16 * 9, 241, 31) < 30 and 16 * 9 > layers._K_BLOCK
     assert layers._row_strip(27, 1101, 23) == 8
     # The batch-64 case runs in several image chunks, the last one short,
     # pooled (16 x 16 outputs) or not.

@@ -102,6 +102,8 @@ def test_labels_must_be_binary():
         EmbeddingBatch(y=[[0.0], [1.0]], labels=[0, 2])
     with pytest.raises(ValueError):
         information_potentials(np.ones((2, 2)), [0, 3])
+    with pytest.raises(ValueError, match="empty"):
+        information_potentials(np.ones((0, 0)), [])
 
 
 def test_estimate_is_nonnegative_on_random_batches():
